@@ -222,10 +222,14 @@ class IbtRunner:
             sorted(self.snapshot_dir.glob("corpus.*.jsonl")),
         )
 
-    def _save_backends(self) -> None:
+    def _save_backend(self, direction: str) -> None:
+        """Write the table of the backend that trained in ``direction``; a
+        backend shared by both directions is written under both names."""
         if self.snapshot_dir is None:
             return
         for name, backend in (("forward", self.forward), ("backward", self.backward)):
+            if name != direction and self.forward is not self.backward:
+                continue
             save = getattr(backend, "save_state", None)
             if callable(save):
                 save(self.snapshot_dir / f"{name}.table.jsonl")
@@ -304,7 +308,7 @@ class IbtRunner:
         backend = self.forward if direction == FORWARD else self.backward
         handle = backend.fine_tune(self.parallel, direction, config)
         handle.wait()
-        self._save_backends()
+        self._save_backend(direction)
 
     def _evaluate_sample(self, sample: MonoSample, workers: list[int]) -> tuple[str, object]:
         language_tag = sample.language if self._pl_on() else None

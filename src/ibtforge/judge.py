@@ -87,13 +87,6 @@ class JudgeConfig:
 _compile_semaphore = threading.BoundedSemaphore(os.cpu_count() or 1)
 
 
-def set_compile_concurrency(n: int) -> None:
-    global _compile_semaphore
-    if n < 1:
-        raise ValueError("concurrency must be >= 1")
-    _compile_semaphore = threading.BoundedSemaphore(n)
-
-
 def normalize_output(data: bytes, rule: str = "strip-trailing") -> bytes:
     """Default comparison rule: strip trailing whitespace per line and
     trailing blank lines, then compare bytes exactly."""
@@ -193,7 +186,6 @@ def _judge_in_scratch(
                 wall_time_ms=tuple(wall_times),
             )
         wall_times.append((time.monotonic() - started) * 1000.0)
-        (scratch / f"out_{index}").write_bytes(stdout)
         if proc.returncode != 0:
             per_test.append(False)
             return JudgeVerdict(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,6 +165,8 @@ def _run_class(classes: Sequence[str | None]) -> str:
 
 # Template elements: ("lit", text) or ("slot", index, run-class)
 Elem = tuple
+# A template's (source, target) elements
+_Shape = tuple[tuple[Elem, ...], tuple[Elem, ...]]
 
 
 def _maximal_runs(toks: list[tuple[str, str | None]]) -> list[tuple[int, int]]:
@@ -192,8 +195,8 @@ def _find_subseq(haystack: list[str], needle: tuple[str, ...], start: int = 0) -
 
 @dataclass
 class _Template:
-    source: list[Elem]
-    target: list[Elem]
+    source: Sequence[Elem]
+    target: Sequence[Elem]
     seq: int
 
     @property
@@ -292,45 +295,92 @@ def _abstract_pair(code_line: str, pseudo_line: str, source_is_code: bool) -> _T
     return emit(code_elems, pseudo_elems)
 
 
-def _match(
-    elems: list[Elem],
-    toks: list[tuple[str, str | None]],
-    ei: int = 0,
-    pos: int = 0,
-    bindings: dict[int, tuple[str, ...]] | None = None,
-) -> dict[int, tuple[str, ...]] | None:
-    """Backtracking unification of a source template against input tokens."""
-    bindings = bindings if bindings is not None else {}
-    if ei == len(elems):
-        return bindings if pos == len(toks) else None
-    el = elems[ei]
-    if el[0] == "lit":
-        if pos < len(toks) and toks[pos][0] == el[1]:
-            return _match(elems, toks, ei + 1, pos + 1, bindings)
-        return None
-    idx, run_class = el[1], el[2]
-    if idx in bindings:
-        value = bindings[idx]
-        n = len(value)
-        if tuple(t for t, _ in toks[pos : pos + n]) == value:
-            return _match(elems, toks, ei + 1, pos + n, bindings)
-        return None
-    limit = pos
-    while limit < len(toks) and toks[limit][1] is not None:
-        limit += 1
-    for end in range(pos + 1, limit + 1):
-        span = toks[pos:end]
-        if _run_class([c for _, c in span]) != run_class:
+class _Node:
+    """A trie node over template source elements. Literal children are keyed
+    by text, slot children by (slot index, run class); ``template`` is the
+    template whose source ends here, if any."""
+
+    __slots__ = ("lits", "slots", "template")
+
+    def __init__(self) -> None:
+        self.lits: dict[str, _Node] = {}
+        self.slots: dict[tuple[int, str], _Node] = {}
+        self.template: _Template | None = None
+
+
+def _build_trie(templates: Iterable[_Template]) -> _Node:
+    root = _Node()
+    for template in templates:
+        node = root
+        for el in template.source:
+            if el[0] == "lit":
+                children, key = node.lits, el[1]
+            else:
+                children, key = node.slots, (el[1], el[2])
+            child = children.get(key)
+            if child is None:
+                child = children[key] = _Node()
+            node = child
+        node.template = template
+    return root
+
+
+def _trie_matches(
+    root: _Node, toks: list[tuple[str, str | None]]
+) -> list[tuple[_Template, dict[int, tuple[str, ...]]]]:
+    """Every template whose source unifies with ``toks``, with its bindings.
+
+    One depth-first walk serves the whole table. Along any one template's
+    path it visits states in the order of a backtracking match of that
+    template alone (a literal must equal the next token; a bound slot must
+    repeat its earlier value; an unbound slot tries the abstractable spans
+    of its run class shortest first), so the bindings kept, the first to
+    reach the end of the input, are the ones that search returns.
+    """
+    texts = [t for t, _ in toks]
+    n = len(toks)
+    span_cache: dict[int, list[tuple[int, str, tuple[str, ...]]]] = {}
+
+    def spans(pos: int) -> list[tuple[int, str, tuple[str, ...]]]:
+        """(end, run class, value) of each abstractable span at ``pos``,
+        longest first."""
+        out = span_cache.get(pos)
+        if out is None:
+            end = pos
+            while end < n and toks[end][1] is not None:
+                end += 1
+            out = span_cache[pos] = [
+                (e, _run_class([c for _, c in toks[pos:e]]), tuple(texts[pos:e]))
+                for e in range(end, pos, -1)
+            ]
+        return out
+
+    found: dict[_Node, dict[int, tuple[str, ...]]] = {}
+    stack: list[tuple[_Node, int, dict[int, tuple[str, ...]]]] = [(root, 0, {})]
+    while stack:
+        node, pos, bindings = stack.pop()
+        if pos == n:
+            if node.template is not None and node not in found:
+                found[node] = bindings
             continue
-        trial = dict(bindings)
-        trial[idx] = tuple(t for t, _ in span)
-        result = _match(elems, toks, ei + 1, end, trial)
-        if result is not None:
-            return result
-    return None
+        child = node.lits.get(texts[pos])
+        if child is not None:
+            stack.append((child, pos + 1, bindings))
+        for (idx, run_class), child in node.slots.items():
+            value = bindings.get(idx)
+            if value is not None:
+                end = pos + len(value)
+                if tuple(texts[pos:end]) == value:
+                    stack.append((child, end, bindings))
+                continue
+            # pushed longest first so the shortest span is explored first
+            for end, span_class, value in spans(pos):
+                if span_class == run_class:
+                    stack.append((child, end, {**bindings, idx: value}))
+    return [(node.template, bindings) for node, bindings in found.items()]
 
 
-def _render(elems: list[Elem], bindings: dict[int, tuple[str, ...]]) -> str:
+def _render(elems: Sequence[Elem], bindings: dict[int, tuple[str, ...]]) -> str:
     parts: list[str] = []
     for el in elems:
         if el[0] == "lit":
@@ -347,11 +397,20 @@ class TemplateBackend:
     stores it keyed by the source-side template, so a later pair with the
     same source shape shadows the earlier mapping (this is what lets
     augmented data override habits learned from the seed corpus).
+
+    ``translate`` matches each line against a trie of the table's source
+    sides, built on first use after the table last changed.
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, dict[str, _Template]] = {FORWARD: {}, BACKWARD: {}}
         self._seq = 0
+        # (direction, code line, pseudocode line) -> unprefixed (source,
+        # target); pairs that abstract alike share one interned shape
+        self._abstractions: dict[tuple[str, str, str], _Shape] = {}
+        self._shapes: dict[_Shape, _Shape] = {}
+        self._tries: dict[str, _Node] = {}
+        self._trie_lock = threading.Lock()
 
     # -- training ----------------------------------------------------------
 
@@ -365,6 +424,7 @@ class TemplateBackend:
         config = dict(config or {})
         worker_prefix = bool(config.get("worker_prefix", False))
         pl_prefix = bool(config.get("pl_prefix", False))
+        self._tries = {}
         if not config.get("warm_start", True):
             self._tables[direction] = {}
         table = self._tables[direction]
@@ -373,40 +433,53 @@ class TemplateBackend:
                 worker=sample.worker if worker_prefix else None,
                 language=sample.language if pl_prefix else None,
             )
+            # prefix tags lex as class-None tokens, which never join a slot
+            # run, so abstracting a prefixed line gives the tag literals
+            # followed by the template of the unprefixed line
+            tags = tuple(("lit", tag) for tag in prefix.render().split())
             for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
-                if direction == FORWARD:
-                    if prefix and code_line:
-                        code_line = apply_prefix(prefix, code_line)
-                    template = _abstract_pair(code_line, pseudo_line, source_is_code=True)
-                else:
-                    if prefix and pseudo_line:
-                        pseudo_line = apply_prefix(prefix, pseudo_line)
-                    template = _abstract_pair(code_line, pseudo_line, source_is_code=False)
-                template.seq = self._seq
+                source, target = self._abstract(direction, code_line, pseudo_line)
+                if tags and (code_line if direction == FORWARD else pseudo_line):
+                    source = tags + source
+                template = _Template(source=source, target=target, seq=self._seq)
                 self._seq += 1
                 table[template.key] = template
         return TrainingHandle(f"baseline-{self._seq}")
 
+    def _abstract(self, direction: str, code_line: str, pseudo_line: str) -> _Shape:
+        key = (direction, code_line, pseudo_line)
+        shape = self._abstractions.get(key)
+        if shape is None:
+            template = _abstract_pair(code_line, pseudo_line, source_is_code=direction == FORWARD)
+            shape = (tuple(template.source), tuple(template.target))
+            shape = self._abstractions[key] = self._shapes.setdefault(shape, shape)
+        return shape
+
     # -- inference ---------------------------------------------------------
 
+    def _trie(self, direction: str) -> _Node:
+        trie = self._tries.get(direction)
+        if trie is None:
+            with self._trie_lock:
+                trie = self._tries.get(direction)
+                if trie is None:
+                    trie = self._tries[direction] = _build_trie(self._tables[direction].values())
+        return trie
+
     def translate(self, req: TranslationRequest) -> list[LineBeam]:
-        table = self._tables[req.direction]
+        trie = self._trie(req.direction)
         beams = []
         for line in req.lines:
-            toks = _lex(line)
-            matches: list[Candidate] = []
             scored: list[tuple[int, str]] = []
-            for template in table.values():
-                bindings = _match(template.source, toks)
-                if bindings is None:
-                    continue
+            for template, bindings in _trie_matches(trie, _lex(line)):
                 text = _render(template.target, bindings)
                 if req.direction == BACKWARD:
                     text = canonicalize(text)
                 scored.append((template.literal_count, text))
             scored.sort(key=lambda s: (-s[0], s[1]))
-            for rank, (_, text) in enumerate(scored):
-                matches.append(Candidate(text=text, score=float(-rank)))
+            matches = [
+                Candidate(text=text, score=float(-rank)) for rank, (_, text) in enumerate(scored)
+            ]
             if not matches:
                 matches = [self._echo(line, req.direction)]
             beams.append(build_beam(line, matches, req.beam_size))
@@ -432,6 +505,7 @@ class TemplateBackend:
 
     def load_state(self, path: str | Path) -> None:
         self._tables = {FORWARD: {}, BACKWARD: {}}
+        self._tries = {}
         self._seq = 0
         with Path(path).open(encoding="utf-8") as fh:
             for line in fh:

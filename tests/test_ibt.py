@@ -283,6 +283,34 @@ class TestResumability:
         assert {"state.json", "reports.json", "manifest.json"} <= names
         assert {"forward.table.jsonl", "backward.table.jsonl"} <= names
 
+    def test_fine_tune_writes_only_the_trained_table(self, tmp_path):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(0, "finetune-forward"))
+        assert (snap / "forward.table.jsonl").exists()
+        assert not (snap / "backward.table.jsonl").exists()
+        self._run(snap, stop_after=(0, "finetune-backward"))
+        backward = (snap / "backward.table.jsonl").read_bytes()
+        forward = (snap / "forward.table.jsonl").read_bytes()
+        self._run(snap, stop_after=(1, "finetune-forward"))
+        assert (snap / "backward.table.jsonl").read_bytes() == backward
+        assert (snap / "forward.table.jsonl").read_bytes() != forward
+
+    def test_shared_backend_writes_both_tables(self, tmp_path):
+        snap = tmp_path / "s"
+        shared = TemplateBackend()
+        run_ibt(
+            build_seed_parallel(),
+            build_mono_corpus(),
+            shared,
+            shared,
+            CFG,
+            judge_fn=c_only_judge,
+            snapshot_dir=snap,
+            stop_after=(0, "finetune-forward"),
+        )
+        forward = (snap / "forward.table.jsonl").read_bytes()
+        assert forward and (snap / "backward.table.jsonl").read_bytes() == forward
+
     def test_backend_outage_aborts_resumably(self, tmp_path):
         class FlakyBackend(TemplateBackend):
             def __init__(self):

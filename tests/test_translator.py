@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import sys
+import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
+from ibtforge.lexer import canonicalize
+from ibtforge.preprocess import Prefix, apply_prefix
 from ibtforge.translator import (
     BACKWARD,
     BackendProtocolError,
@@ -18,6 +25,10 @@ from ibtforge.translator import (
     TemplateBackend,
     TrainingRejected,
     TranslationRequest,
+    _abstract_pair,
+    _lex,
+    _render,
+    _run_class,
     build_beam,
     expand_workers,
 )
@@ -174,6 +185,326 @@ class TestBaselineFineTune:
         restored.load_state(path)
         req = TranslationRequest(FORWARD, ("x = 1 ;", "cout << y ;"), 5)
         assert restored.translate(req) == trained_backend.translate(req)
+
+
+# ---------------------------------------------------------------------------
+# Trie matching and memoised abstraction against their linear-scan oracles
+
+
+def _match(elems, toks, ei=0, pos=0, bindings=None):
+    """Backtracking unification of one source template against input tokens:
+    the reference semantics of template matching."""
+    bindings = bindings if bindings is not None else {}
+    if ei == len(elems):
+        return bindings if pos == len(toks) else None
+    el = elems[ei]
+    if el[0] == "lit":
+        if pos < len(toks) and toks[pos][0] == el[1]:
+            return _match(elems, toks, ei + 1, pos + 1, bindings)
+        return None
+    idx, run_class = el[1], el[2]
+    if idx in bindings:
+        value = bindings[idx]
+        n = len(value)
+        if tuple(t for t, _ in toks[pos : pos + n]) == value:
+            return _match(elems, toks, ei + 1, pos + n, bindings)
+        return None
+    limit = pos
+    while limit < len(toks) and toks[limit][1] is not None:
+        limit += 1
+    for end in range(pos + 1, limit + 1):
+        span = toks[pos:end]
+        if _run_class([c for _, c in span]) != run_class:
+            continue
+        trial = dict(bindings)
+        trial[idx] = tuple(t for t, _ in span)
+        result = _match(elems, toks, ei + 1, end, trial)
+        if result is not None:
+            return result
+    return None
+
+
+def _saved_records(backend):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.jsonl"
+        backend.save_state(path)
+        return [json.loads(line) for line in path.read_text().splitlines()], path.read_bytes()
+
+
+def linear_scan_translate(backend, req):
+    """``translate`` as a scan of every template of the saved table."""
+    records, _ = _saved_records(backend)
+    table = [
+        ([tuple(e) for e in r["source"]], [tuple(e) for e in r["target"]])
+        for r in records
+        if r["direction"] == req.direction
+    ]
+    beams = []
+    for line in req.lines:
+        toks = _lex(line)
+        scored = []
+        for source, target in table:
+            bindings = _match(source, toks)
+            if bindings is None:
+                continue
+            text = _render(target, bindings)
+            if req.direction == BACKWARD:
+                text = canonicalize(text)
+            scored.append((sum(1 for e in source if e[0] == "lit"), text))
+        scored.sort(key=lambda s: (-s[0], s[1]))
+        matches = [Candidate(text, float(-rank)) for rank, (_, text) in enumerate(scored)]
+        if not matches:
+            matches = [TemplateBackend._echo(line, req.direction)]
+        beams.append(build_beam(line, matches, req.beam_size))
+    return beams
+
+
+class FreshAbstractionBackend(TemplateBackend):
+    """``fine_tune`` without the memo: every prefixed line is abstracted
+    afresh on every call."""
+
+    def fine_tune(self, dataset, direction, config=None):
+        config = dict(config or {})
+        if not config.get("warm_start", True):
+            self._tables[direction] = {}
+        table = self._tables[direction]
+        for sample in dataset:
+            prefix = Prefix(
+                worker=sample.worker if config.get("worker_prefix") else None,
+                language=sample.language if config.get("pl_prefix") else None,
+            )
+            for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
+                if direction == FORWARD:
+                    if prefix and code_line:
+                        code_line = apply_prefix(prefix, code_line)
+                    template = _abstract_pair(code_line, pseudo_line, source_is_code=True)
+                else:
+                    if prefix and pseudo_line:
+                        pseudo_line = apply_prefix(prefix, pseudo_line)
+                    template = _abstract_pair(code_line, pseudo_line, source_is_code=False)
+                template.seq = self._seq
+                self._seq += 1
+                table[template.key] = template
+
+
+IDENTS = ["x", "y", "n", "set", "to", "plus", "print"]
+NUMBERS = ["0", "1", "42"]
+KEYWORD_PUNCT = ["int", "return", "=", ";", "+", "(", ")", "<<", ","]
+TAGS = ["<w:1>", "<w:2>", "<pl:c>", "<pl:cpp>"]
+RUNS = {"ID": IDENTS, "NUM": NUMBERS, "MIX": IDENTS + NUMBERS}
+
+literal_elems = st.sampled_from(IDENTS + NUMBERS + KEYWORD_PUNCT).map(lambda t: ("lit", t))
+slot_elems = st.tuples(st.just("slot"), st.integers(0, 2), st.sampled_from(sorted(RUNS)))
+
+
+@st.composite
+def template_records(draw, direction):
+    tags = draw(st.lists(st.sampled_from(TAGS), max_size=2))
+    body = draw(st.lists(st.one_of(literal_elems, slot_elems), max_size=6))
+    source = [("lit", t) for t in tags] + body
+    slots = sorted({e[1:] for e in source if e[0] == "slot"})
+    target_slots = st.sampled_from(slots).map(lambda s: ("slot", *s)) if slots else st.nothing()
+    target = draw(st.lists(st.one_of(literal_elems, target_slots), max_size=5))
+    return {"direction": direction, "source": source, "target": target}
+
+
+@st.composite
+def tables(draw):
+    directions = st.sampled_from([FORWARD, BACKWARD])
+    records = draw(st.lists(directions.flatmap(template_records), min_size=1, max_size=12))
+    for rec in list(records):
+        if draw(st.booleans()):  # a prefix of another template
+            source = rec["source"][: draw(st.integers(0, len(rec["source"])))]
+            kept = {e[1] for e in source if e[0] == "slot"}
+            if all(e[1] in kept for e in rec["target"] if e[0] == "slot"):
+                records.append({**rec, "source": source})
+        if draw(st.booleans()):  # the same source shape, shadowing the first
+            records.append({**rec, "target": list(reversed(rec["target"]))})
+    return records
+
+
+@st.composite
+def lines_for(draw, records):
+    """Renderings of table templates with random slot fillers, plus noise."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            rec = draw(st.sampled_from(records))
+            values = {}
+            parts = []
+            for el in rec["source"]:
+                if el[0] == "lit":
+                    parts.append(el[1])
+                    continue
+                if el[1] not in values:
+                    values[el[1]] = draw(st.lists(st.sampled_from(RUNS[el[2]]), min_size=1, max_size=3))
+                parts.extend(values[el[1]])
+            lines.append(" ".join(parts))
+        else:
+            vocab = TAGS + IDENTS + NUMBERS + KEYWORD_PUNCT
+            lines.append(" ".join(draw(st.lists(st.sampled_from(vocab), max_size=7))))
+    return lines
+
+
+def _load(records):
+    """A backend holding ``records`` as its saved table."""
+    backend = TemplateBackend()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        backend.load_state(path)
+    return backend
+
+
+code_lines = st.lists(st.sampled_from(IDENTS[:3] + NUMBERS + KEYWORD_PUNCT), max_size=6).map(" ".join)
+pseudo_lines = st.lists(st.sampled_from(IDENTS + NUMBERS), max_size=6).map(" ".join)
+
+
+@st.composite
+def parallel_samples(draw):
+    n = draw(st.integers(1, 4))
+    return make_pair_sample(
+        f"s:{draw(st.integers(1, 9))}:1",
+        draw(st.integers(0, 3)),
+        draw(st.lists(code_lines, min_size=n, max_size=n)),
+        draw(st.lists(pseudo_lines, min_size=n, max_size=n)),
+        language=draw(st.sampled_from(["cpp", "c"])),
+    )
+
+
+fine_tune_calls = st.lists(
+    st.tuples(
+        st.lists(parallel_samples(), min_size=1, max_size=3),
+        st.sampled_from([FORWARD, BACKWARD]),
+        st.fixed_dictionaries(
+            {"worker_prefix": st.booleans(), "pl_prefix": st.booleans(), "warm_start": st.booleans()}
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestTrieMatching:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_match_linear_scan(self, data):
+        records = data.draw(tables())
+        direction = data.draw(st.sampled_from([FORWARD, BACKWARD]))
+        backend = _load(records)
+        lines = tuple(data.draw(lines_for(records)))
+        req = TranslationRequest(direction, lines, data.draw(st.integers(1, 5)))
+        assert backend.translate(req) == linear_scan_translate(backend, req)
+
+    @pytest.mark.parametrize(
+        "source, line, expected",
+        [
+            # adjacent slots: the first takes the shortest span
+            ([("slot", 0, "ID"), ("slot", 1, "ID")], "a b c", "a | b c"),
+            ([("slot", 0, "MIX"), ("slot", 1, "NUM")], "a 1 2", "a 1 | 2"),
+            # a repeated index must equal its first binding
+            ([("slot", 0, "ID"), ("slot", 1, "ID"), ("slot", 0, "ID")], "a b c a", "a | b c"),
+        ],
+    )
+    def test_ambiguous_spans_bind_shortest_first(self, source, line, expected):
+        target = [("slot", 0, "ID"), ("lit", "|"), ("slot", 1, "ID")]
+        backend = _load([{"direction": FORWARD, "source": source, "target": target}])
+        req = TranslationRequest(FORWARD, (line,), 1)
+        beams = backend.translate(req)
+        assert beams == linear_scan_translate(backend, req)
+        assert beams[0].top.text == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=fine_tune_calls, data=st.data())
+    def test_fine_tuned_tables_match_linear_scan(self, calls, data):
+        backend = TemplateBackend()
+        lines = []
+        for dataset, direction, config in calls:
+            backend.fine_tune(dataset, direction, config)
+            for sample in dataset:
+                source = sample.code_lines if direction == FORWARD else sample.pseudo_lines
+                prefix = Prefix(
+                    worker=sample.worker if config["worker_prefix"] else None,
+                    language=sample.language if config["pl_prefix"] else None,
+                )
+                lines += [(direction, apply_prefix(prefix, l) if prefix and l else l) for l in source]
+            # translate between fine-tunes, so a stale trie would show
+            direction = data.draw(st.sampled_from([FORWARD, BACKWARD]))
+            mine = [l for d, l in lines if d == direction] or ["x = 1 ;"]
+            req = TranslationRequest(direction, tuple(mine), 3)
+            assert backend.translate(req) == linear_scan_translate(backend, req)
+
+    def test_trie_built_once_under_concurrent_translates(self, trained_backend, monkeypatch):
+        import ibtforge.translator as translator
+
+        build = translator._build_trie
+        builds = []
+
+        def slow_build(templates):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)
+            return build(templates)
+
+        monkeypatch.setattr(translator, "_build_trie", slow_build)
+        req = TranslationRequest(FORWARD, ("x = 7 ;", "cout << y ;", "return 0 ;"), 3)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(trained_backend.translate(req)))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 1
+        assert len(results) == 6 and all(r == results[0] for r in results)
+        assert results[0] == linear_scan_translate(trained_backend, req)
+
+    def test_fine_tune_and_load_state_drop_the_trie(self, trained_backend, tmp_path):
+        req = TranslationRequest(FORWARD, ("y = 2 ;",), 3)
+        assert trained_backend.translate(req)[0].top.text == "set y to 2"
+        trained_backend.fine_tune(
+            [make_pair_sample("s:2:1", 1, ["y = 2 ;"], ["let y be 2"])], FORWARD, {}
+        )
+        assert trained_backend.translate(req)[0].top.text == "let y be 2"
+        path = tmp_path / "t.jsonl"
+        TemplateBackend().save_state(path)
+        trained_backend.load_state(path)
+        assert trained_backend.translate(req)[0].top.score == NEG_INF
+
+
+class TestAbstractionMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(calls=fine_tune_calls)
+    def test_memoised_fine_tune_saves_the_same_bytes(self, calls):
+        memoised, fresh = TemplateBackend(), FreshAbstractionBackend()
+        for dataset, direction, config in calls:
+            memoised.fine_tune(dataset, direction, config)
+            fresh.fine_tune(dataset, direction, config)
+            assert _saved_records(memoised)[1] == _saved_records(fresh)[1]
+
+    def test_prefix_toggle_sequence(self):
+        sample = make_pair_sample(
+            "s:1:4", 4, ["x = 1 ;", "", "cout << x ;"], ["set x to 1", "", "print x"], language="c"
+        )
+        memoised, fresh = TemplateBackend(), FreshAbstractionBackend()
+        for config in (
+            {},
+            {"worker_prefix": True},
+            {"worker_prefix": True, "pl_prefix": True},
+            {"pl_prefix": True, "warm_start": False},
+            {"worker_prefix": True},
+        ):
+            for direction in (FORWARD, BACKWARD):
+                memoised.fine_tune([sample], direction, config)
+                fresh.fine_tune([sample], direction, config)
+        assert _saved_records(memoised)[1] == _saved_records(fresh)[1]
 
 
 class TestExpandWorkers:
