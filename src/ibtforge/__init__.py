@@ -16,7 +16,7 @@ from .corpus import (
     simple_code_filter,
 )
 from .ibt import IbtConfig, IterationReport, run_ibt, select_top_workers
-from .judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program, success_rate
+from .judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program
 from .lexer import canonicalize, tokenize_line
 from .metrics import corpus_bleu, cumulative_success, exact_match
 from .preprocess import Prefix, apply_prefix, rewrite_endl, strip_prefix
@@ -68,6 +68,5 @@ __all__ = [
     "select_top_workers",
     "simple_code_filter",
     "strip_prefix",
-    "success_rate",
     "tokenize_line",
 ]

@@ -13,10 +13,10 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import TestCase
-from .judge import JudgeVerdict, VerdictKind
+from .judge import JudgeFn, JudgeVerdict, VerdictKind
 from .lexer import unpad_literals
 from .translator import LineBeam
 
@@ -28,9 +28,6 @@ DEFAULT_DIAGNOSTIC_PATTERNS = (
     re.compile(r"^[^:\n]+:(\d+):\d+:\s*(?:fatal\s+)?error\s*:", re.MULTILINE),
     re.compile(r"^[^:\n]+:(\d+):\s*(?:fatal\s+)?error\s*:", re.MULTILINE),
 )
-
-JudgeFn = Callable[[str, Sequence[TestCase]], JudgeVerdict]
-
 
 @dataclass
 class AssemblyState:

@@ -39,10 +39,12 @@ from .metrics import EvalReport, corpus_bleu, exact_match
 from .preprocess import Prefix, apply_prefix, preprocess_sample
 from .translator import (
     BACKWARD,
+    BackendProtocolError,
     BackendUnavailable,
     FORWARD,
     RemoteBackend,
     TemplateBackend,
+    TrainingRejected,
     TranslationRequest,
 )
 
@@ -428,7 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except (BackendUnavailable, JudgeFailureError) as exc:
+    except TrainingRejected as exc:
+        print(f"error: training rejected: {exc}", file=sys.stderr)
+        return EXIT_USER
+    except (BackendUnavailable, BackendProtocolError, JudgeFailureError) as exc:
         print(f"infrastructure failure: {exc}", file=sys.stderr)
         return EXIT_INFRA
 

@@ -18,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import (
     MonoSample,
@@ -31,7 +31,7 @@ from .corpus import (
     validate_disjoint,
     write_manifest,
 )
-from .judge import JudgeConfig, JudgeFailureError, JudgeVerdict, judge_program
+from .judge import JudgeConfig, JudgeFailureError, JudgeFn, judge_program, memoize_verdicts
 from .preprocess import Prefix, apply_prefix, preprocess_sample
 from .translator import (
     BACKWARD,
@@ -132,9 +132,6 @@ def select_top_workers(dataset: Sequence[ParallelSample], k: int) -> list[int]:
     return [worker for worker, _ in ranked[:k]]
 
 
-JudgeFn = Callable[[str, Sequence], JudgeVerdict]
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -175,8 +172,11 @@ class IbtRunner:
         self.forward = forward
         self.backward = backward
         self.cfg = cfg
-        self.judge_fn: JudgeFn = judge_fn or (
-            lambda source, tests: judge_program(source, tests, judge_cfg)
+        # one verdict per distinct (source, tests) for the runner's lifetime:
+        # annotator variants that back-translate alike, and programs judged
+        # again in a later iteration, skip the compiler
+        self.judge_fn: JudgeFn = memoize_verdicts(
+            judge_fn or (lambda source, tests: judge_program(source, tests, judge_cfg))
         )
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
         self.max_workers = max(1, max_workers)

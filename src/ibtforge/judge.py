@@ -2,14 +2,14 @@
 
 Each call compiles one program in a private scratch directory, runs the
 binary on every test case under wall-clock and memory limits, and returns a
-verdict. Infrastructure faults (missing compiler, unwritable scratch) raise
-``JudgeFailureError`` and are never conflated with program failure.
+verdict. Infrastructure faults (missing compiler or ``prlimit``, unwritable
+scratch) raise ``JudgeFailureError`` and are never conflated with program
+failure.
 """
 
 from __future__ import annotations
 
 import os
-import resource
 import shutil
 import signal
 import subprocess
@@ -20,7 +20,7 @@ import uuid
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import TestCase
 
@@ -53,6 +53,35 @@ class JudgeVerdict:
         return self.kind is VerdictKind.ALL_PASSED
 
 
+JudgeFn = Callable[[str, Sequence[TestCase]], JudgeVerdict]
+
+
+def memoize_verdicts(judge: JudgeFn) -> JudgeFn:
+    """Wrap ``judge`` so that each distinct (source, tests) reaches it once
+    over the wrapper's lifetime; repeat calls return the stored verdict.
+
+    Every verdict is stored, ``TimeLimit`` included. ``JudgeFailureError``
+    propagates and is never stored, so a repeat call reaches the judge again.
+    The judge's configuration is fixed for one wrapper, so it is not part of
+    the key. Two threads missing on the same key may both judge it; the
+    caller counts each call as one execution either way.
+    """
+    verdicts: dict[tuple[str, tuple[TestCase, ...]], JudgeVerdict] = {}
+    lock = threading.Lock()
+
+    def memoized(source: str, tests: Sequence[TestCase]) -> JudgeVerdict:
+        key = (source, tuple(tests))
+        with lock:
+            verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = judge(source, tests)
+            with lock:
+                verdicts[key] = verdict
+        return verdict
+
+    return memoized
+
+
 _DEFAULT_COMPILERS = {
     "c": ("gcc", "-x", "c", "-std=c11", "-O0", "-fdiagnostics-color=never", "{src}", "-o", "{bin}"),
     "cpp": ("g++", "-x", "c++", "-std=c++17", "-O0", "-fdiagnostics-color=never", "{src}", "-o", "{bin}"),
@@ -68,7 +97,6 @@ class JudgeConfig:
     memory_limit_mb: int = 256
     output_normalization: str = "strip-trailing"  # or "exact"
     work_dir: str | None = None
-    keep_scratch: bool = False
 
     def __post_init__(self) -> None:
         if self.compile_timeout_s <= 0 or self.run_timeout_s <= 0:
@@ -98,14 +126,17 @@ def normalize_output(data: bytes, rule: str = "strip-trailing") -> bytes:
     return b"\n".join(lines)
 
 
-def _set_run_limits(memory_limit_mb: int):
-    def limits() -> None:
-        resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
-        if memory_limit_mb > 0:
-            cap = memory_limit_mb * 1024 * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+# util-linux ``prlimit`` sets the limits and execs the binary, so the test
+# run keeps its pid, exit status and session. Setting them from Python code
+# run in the child between fork and exec is unsafe while other threads run.
+_RUN_WRAPPER = "prlimit"
 
-    return limits
+
+def _run_command(bin_path: Path, memory_limit_mb: int) -> list[str]:
+    command = [_RUN_WRAPPER, "--core=0"]
+    if memory_limit_mb > 0:
+        command.append(f"--as={memory_limit_mb * 1024 * 1024}")
+    return command + ["--", str(bin_path)]
 
 
 def judge_program(source: str, tests: Sequence[TestCase], cfg: JudgeConfig) -> JudgeVerdict:
@@ -123,8 +154,7 @@ def judge_program(source: str, tests: Sequence[TestCase], cfg: JudgeConfig) -> J
     try:
         return _judge_in_scratch(source, tests, cfg, scratch)
     finally:
-        if not cfg.keep_scratch:
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _judge_in_scratch(
@@ -158,19 +188,22 @@ def _judge_in_scratch(
     if not bin_path.exists():
         raise JudgeFailureError(f"compiler produced no binary: {' '.join(command)}")
 
+    run_command = _run_command(bin_path, cfg.memory_limit_mb)
     per_test: list[bool] = []
     wall_times: list[float] = []
     for index, test in enumerate(tests):
         started = time.monotonic()
-        proc = subprocess.Popen(
-            [str(bin_path)],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            cwd=scratch,
-            preexec_fn=_set_run_limits(cfg.memory_limit_mb),
-            start_new_session=True,
-        )
+        try:
+            proc = subprocess.Popen(
+                run_command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                cwd=scratch,
+                start_new_session=True,
+            )
+        except FileNotFoundError as exc:
+            raise JudgeFailureError(f"run-limit wrapper not found: {_RUN_WRAPPER}") from exc
         try:
             stdout, stderr = proc.communicate(test.input, timeout=cfg.run_timeout_s)
         except subprocess.TimeoutExpired:
@@ -186,6 +219,9 @@ def _judge_in_scratch(
                 wall_time_ms=tuple(wall_times),
             )
         wall_times.append((time.monotonic() - started) * 1000.0)
+        if proc.returncode != 0 and stderr.startswith(b"prlimit: "):
+            # the wrapper could not set a limit or exec the binary
+            raise JudgeFailureError(stderr.decode("utf-8", "backslashreplace")[:500])
         if proc.returncode != 0:
             per_test.append(False)
             return JudgeVerdict(
@@ -222,11 +258,3 @@ def _kill_group(proc: subprocess.Popen) -> None:
         os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         proc.kill()
-
-
-def success_rate(results: Sequence) -> float:
-    """Percentage of assembly results with ``success=True``."""
-    if not results:
-        raise ValueError("success_rate over an empty result list")
-    passed = sum(1 for r in results if r.success)
-    return 100.0 * passed / len(results)

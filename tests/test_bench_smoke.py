@@ -1,5 +1,8 @@
-"""Guard for the benchmark harness: a tiny translate-bound run must finish
-and report outputs that match the recorded digests."""
+"""Guard for the benchmark harness: tiny runs must finish and report outputs
+that match the recorded digests. translate-bound runs one thread over a large
+table; judge-bound is the only workload that judges on two threads, with
+annotator variants that back-translate to the same program, so it checks the
+verdict memo under threads against the benchmark's program labels."""
 
 from __future__ import annotations
 
@@ -13,12 +16,11 @@ from conftest import requires_gcc
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@requires_gcc
-def test_translate_bound_smoke_run_is_correct():
+def _smoke_run(workload: str) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py",
-            "--workload", "translate-bound", "--seed", "3",
+            "--workload", workload, "--seed", "3",
             "--seconds", "1", "--trace", "0", "--smoke",
         ],
         cwd=ROOT,
@@ -27,5 +29,16 @@ def test_translate_bound_smoke_run_is_correct():
         timeout=170,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@requires_gcc
+def test_translate_bound_smoke_run_is_correct():
+    assert _smoke_run("translate-bound")["correct"] is True
+
+
+@requires_gcc
+def test_judge_bound_smoke_run_is_correct():
+    result = _smoke_run("judge-bound")
     assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import yaml
@@ -272,3 +274,53 @@ class TestEvalCommand:
             ["eval", "--split", "test-p", "--direction", "backward", "--config", cfg, "--budgets", "0,x"]
         )
         assert code == EXIT_USER
+
+
+class _FinetuneStub(BaseHTTPRequestHandler):
+    """Model server whose ``POST /finetune`` answers with ``reply``."""
+
+    reply: tuple[int, dict]
+
+    def log_message(self, *args):  # noqa: D102 - silence the test server
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        code, payload = self.reply
+        body = json.dumps(payload).encode()
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class TestRemoteBackendFailures:
+    def _run(self, tmp_path, reply):
+        handler = type("Stub", (_FinetuneStub,), {"reply": reply})
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_port}"
+        try:
+            save_parallel(build_seed_parallel(), tmp_path / "D.jsonl")
+            save_mono(build_mono_corpus(), tmp_path / "Y.jsonl")
+            cfg = write_config(
+                tmp_path,
+                paths={"parallel": str(tmp_path / "D.jsonl"), "mono": str(tmp_path / "Y.jsonl")},
+                backend={"forward": url, "backward": url},
+                judge={"language": "c"},
+            )
+            return main(["run-ibt", "--config", cfg])
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def test_protocol_violation_is_infra_failure(self, tmp_path, capsys):
+        assert self._run(tmp_path, (200, {"no": "handle"})) == EXIT_INFRA
+        assert "lacks a handle" in capsys.readouterr().err
+
+    def test_rejected_training_is_user_error(self, tmp_path, capsys):
+        assert self._run(tmp_path, (422, {"error": "bad dataset"})) == EXIT_USER
+        assert "training rejected" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import threading
+from collections import Counter
 
 import pytest
 
+import ibtforge.ibt as ibt_module
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc
+from ibtforge.assembler import assemble
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
 from ibtforge.ibt import IbtConfig, IbtRunner, IterationReport, run_ibt, select_top_workers
 from ibtforge.judge import JudgeConfig, JudgeFailureError, JudgeVerdict, VerdictKind
@@ -230,6 +234,56 @@ class TestEarlyExitAndBookkeeping:
                 seed_parallel, [clash], TemplateBackend(), TemplateBackend(),
                 CFG, judge_fn=passing_judge,
             )
+
+
+class TestVerdictMemo:
+    def _run(self, seed_parallel, mono_corpus, monkeypatch, max_workers):
+        """Run with a counting pure judge; returns the reports, the judge's
+        calls per (source, tests) and the executions ``assemble`` counted."""
+        calls: Counter = Counter()
+        lock = threading.Lock()
+
+        def counting_judge(source, tests):
+            with lock:
+                calls[(source, tuple(tests))] += 1
+            return c_only_judge(source, tests)
+
+        executions = []
+
+        def counting_assemble(*args, **kwargs):
+            result = assemble(*args, **kwargs)
+            executions.append(result.executions_used)
+            return result
+
+        monkeypatch.setattr(ibt_module, "assemble", counting_assemble)
+        reports = run_ibt(
+            seed_parallel, mono_corpus, TemplateBackend(), TemplateBackend(),
+            CFG, judge_fn=counting_judge, max_workers=max_workers,
+        )
+        return reports, calls, sum(executions)
+
+    def test_collapsing_variants_judged_once_per_distinct_program(
+        self, seed_parallel, mono_corpus, monkeypatch
+    ):
+        reports, calls, executions = self._run(seed_parallel, mono_corpus, monkeypatch, 1)
+        assert set(calls.values()) == {1}
+        # both annotators' variants back-translate to the same C text
+        assert executions > len(calls)
+        assert [r.passed_count for r in reports] == [1, 1]
+
+    def test_threaded_run_judges_the_same_programs(self, seed_parallel, mono_corpus, monkeypatch):
+        serial, serial_calls, serial_executions = self._run(
+            seed_parallel, mono_corpus, monkeypatch, 1
+        )
+        threaded, threaded_calls, threaded_executions = self._run(
+            seed_parallel, mono_corpus, monkeypatch, 4
+        )
+        strip = lambda rs: [
+            {k: v for k, v in r.to_record().items() if k != "wall_time_s"} for r in rs
+        ]
+        assert strip(threaded) == strip(serial)
+        assert set(threaded_calls) == set(serial_calls)
+        assert threaded_executions == serial_executions
 
 
 class TestResumability:

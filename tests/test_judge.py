@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import pytest
 
 from conftest import requires_gcc, requires_gxx
+from ibtforge import judge as judge_module
+from ibtforge.assembler import BEST_FIRST, GREEDY_REPAIR, assemble
 from ibtforge.corpus import TestCase
 from ibtforge.judge import (
     JudgeConfig,
     JudgeFailureError,
+    JudgeVerdict,
     VerdictKind,
     judge_program,
+    memoize_verdicts,
     normalize_output,
-    success_rate,
 )
+from ibtforge.translator import Candidate, LineBeam
 
 C_OK = '#include <stdio.h>\nint main(){printf("%d\\n",1+1);return 0;}\n'
 C_READS = '#include <stdio.h>\nint main(){int x;scanf("%d",&x);printf("%d\\n",x*2);return 0;}\n'
@@ -163,21 +170,126 @@ class TestInfrastructure:
             verdicts = [f.result() for f in futures]
         assert all(v.kind is VerdictKind.ALL_PASSED for v in verdicts)
 
+    def test_missing_run_wrapper_raises(self, judge_cfg, monkeypatch):
+        monkeypatch.setattr(judge_module, "_RUN_WRAPPER", "definitely-not-prlimit")
+        with pytest.raises(JudgeFailureError):
+            judge_program(C_OK, [TestCase(b"", b"2\n")], judge_cfg)
 
-class TestSuccessRate:
-    def _results(self, total, passing):
-        return [SimpleNamespace(success=i < passing) for i in range(total)]
+    def test_run_wrapper_failure_raises(self, judge_cfg, tmp_path, monkeypatch):
+        # prlimit reports its own failures on stderr under its name
+        fake = tmp_path / "prlimit"
+        fake.write_text(
+            "#!/bin/sh\necho 'prlimit: failed to set the AS resource limit' >&2\nexit 1\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setattr(judge_module, "_RUN_WRAPPER", str(fake))
+        with pytest.raises(JudgeFailureError):
+            judge_program(C_OK, [TestCase(b"", b"2\n")], judge_cfg)
 
-    def test_reported_iteration_zero_arithmetic(self):
-        rate = success_rate(self._results(25666, 15615))
-        assert abs(rate - 60.84) <= 0.005
 
-    def test_all_pass(self):
-        assert success_rate(self._results(4, 4)) == 100.0
+TESTS = (TestCase(b"", b""),)
 
-    def test_none_pass(self):
-        assert success_rate(self._results(4, 0)) == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            success_rate([])
+class CountingJudge:
+    """Pure stand-in judge: the verdict kind is fixed per instance and the
+    program text comes back as ``got``, so a verdict names its source."""
+
+    def __init__(self, kind=VerdictKind.WRONG_ANSWER):
+        self.kind = kind
+        self.calls: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def __call__(self, source, tests):
+        with self._lock:
+            self.calls[(source, tuple(tests))] += 1
+        return JudgeVerdict(kind=self.kind, got=source.encode())
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize(
+        "kind", [k for k in VerdictKind if k is not VerdictKind.JUDGE_FAILURE]
+    )
+    def test_every_verdict_kind_judged_once(self, kind):
+        judge = CountingJudge(kind)
+        memo = memoize_verdicts(judge)
+        first = memo("p", TESTS)
+        assert memo("p", list(TESTS)) is first
+        assert first.kind is kind
+        assert sum(judge.calls.values()) == 1
+
+    def test_key_is_source_and_test_values(self):
+        judge = CountingJudge()
+        memo = memoize_verdicts(judge)
+        memo("p", [TestCase(b"1", b"2")])
+        memo("p", (TestCase(b"1", b"2"),))  # equal tests, other objects
+        memo("p", [TestCase(b"1", b"3")])
+        memo("p", [TestCase(b"1", b"2"), TestCase(b"1", b"2")])
+        memo("q", [TestCase(b"1", b"2")])
+        assert len(judge.calls) == 4
+        assert set(judge.calls.values()) == {1}
+
+    def test_judge_failure_is_not_cached(self):
+        calls = []
+
+        def flaky(source, tests):
+            calls.append(source)
+            if len(calls) == 1:
+                raise JudgeFailureError("compiler exploded")
+            return JudgeVerdict(kind=VerdictKind.ALL_PASSED)
+
+        memo = memoize_verdicts(flaky)
+        with pytest.raises(JudgeFailureError):
+            memo("p", TESTS)
+        assert memo("p", TESTS).kind is VerdictKind.ALL_PASSED
+        assert memo("p", TESTS).kind is VerdictKind.ALL_PASSED
+        assert calls == ["p", "p"]
+
+    @pytest.mark.parametrize("strategy", [GREEDY_REPAIR, BEST_FIRST])
+    def test_assemble_budget_accounting_unchanged(self, strategy):
+        # compiles iff every line picks one of its good candidates; the
+        # diagnostics name every bad line
+        def judge(source, tests):
+            choice = [int(line.rsplit("C", 1)[1]) for line in source.splitlines()]
+            bad = [i for i, c in enumerate(choice) if c not in good[i]]
+            if bad:
+                diagnostics = "".join(f"p.c:{i + 1}:1: error: bad\n" for i in bad)
+                return JudgeVerdict(kind=VerdictKind.COMPILE_ERROR, diagnostics=diagnostics)
+            return JudgeVerdict(kind=VerdictKind.ALL_PASSED, per_test=(True,))
+
+        rng = random.Random(7)
+        for _ in range(40):
+            widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+            good = [set(rng.sample(range(w), rng.randint(0, w))) for w in widths]
+            beams = [
+                LineBeam(
+                    source=f"line{i}",
+                    candidates=tuple(Candidate(f"L{i}C{c}", float(-c)) for c in range(w)),
+                )
+                for i, w in enumerate(widths)
+            ]
+            budget = rng.randint(1, 8)
+            raw = assemble(beams, TESTS, budget, judge, strategy)
+            memo = memoize_verdicts(judge)
+            for _ in range(2):  # a cold memo, then one holding every verdict
+                cached = assemble(beams, TESTS, budget, memo, strategy)
+                assert cached.executions_used == raw.executions_used
+                assert cached.chosen_indices == raw.chosen_indices
+                assert cached.success == raw.success
+
+    def test_threads_get_the_verdict_of_their_own_key(self):
+        judge = CountingJudge()
+        memo = memoize_verdicts(judge)
+        sources = [f"p{i % 7}" for i in range(700)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda s: memo(s, TESTS).got, sources, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [s.encode() for s in sources]
+        judged = sum(judge.calls.values())
+        assert len(judge.calls) == 7
+        for i in range(7):  # every key was stored
+            memo(f"p{i}", TESTS)
+        assert sum(judge.calls.values()) == judged
