@@ -80,12 +80,20 @@ def _canonical_program(beams: Sequence[LineBeam], choice: Sequence[int]) -> str:
     return "\n".join(beams[i].candidates[choice[i]].text for i in range(len(beams)))
 
 
-def _compile_source(beams: Sequence[LineBeam], choice: Sequence[int]) -> str:
-    # literals carry boundary padding in canonical form; strip it before
-    # handing the text to a real compiler
-    return "\n".join(
-        unpad_literals(beams[i].candidates[choice[i]].text) for i in range(len(beams))
-    )
+def _compile_source(
+    beams: Sequence[LineBeam], choice: Sequence[int], unpadded: dict[tuple[int, int], str]
+) -> str:
+    """The program for ``choice`` as the compiler sees it. Literals carry
+    boundary padding in canonical form, so each chosen candidate is unpadded,
+    once per ``assemble`` call: ``unpadded`` holds the texts by (line,
+    candidate index)."""
+    parts = []
+    for line, index in enumerate(choice):
+        text = unpadded.get((line, index))
+        if text is None:
+            text = unpadded[line, index] = unpad_literals(beams[line].candidates[index].text)
+        parts.append(text)
+    return "\n".join(parts)
 
 
 def assemble(
@@ -135,7 +143,8 @@ def _assemble_greedy(
     judge: JudgeFn,
 ) -> AssemblyResult:
     state = AssemblyState(choice=[0] * len(beams))
-    verdict = judge(_compile_source(beams, state.choice), tests)
+    unpadded: dict[tuple[int, int], str] = {}
+    verdict = judge(_compile_source(beams, state.choice, unpadded), tests)
     state.executions_used = 1
     while state.executions_used < budget:
         if verdict.kind is not VerdictKind.COMPILE_ERROR:
@@ -149,7 +158,7 @@ def _assemble_greedy(
                 break
         if not advanced:
             break
-        verdict = judge(_compile_source(beams, state.choice), tests)
+        verdict = judge(_compile_source(beams, state.choice, unpadded), tests)
         state.executions_used += 1
     return _result(beams, state, verdict)
 
@@ -167,11 +176,12 @@ def _assemble_best_first(
     state = AssemblyState(choice=list(start))
     heapq.heappush(state.frontier, (-total_score(start), start))
     seen = {start}
+    unpadded: dict[tuple[int, int], str] = {}
     verdict: JudgeVerdict | None = None
     while state.frontier and state.executions_used < budget:
         _, choice = heapq.heappop(state.frontier)
         state.choice = list(choice)
-        verdict = judge(_compile_source(beams, choice), tests)
+        verdict = judge(_compile_source(beams, choice, unpadded), tests)
         state.executions_used += 1
         if verdict.kind is VerdictKind.ALL_PASSED:
             break

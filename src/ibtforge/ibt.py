@@ -182,7 +182,10 @@ class IbtRunner:
         self.max_workers = max(1, max_workers)
         self.fine_tune_config = dict(fine_tune_config or {})
 
-        self.parallel = [preprocess_sample(s) for s in parallel]
+        resuming = self.snapshot_dir is not None and (self.snapshot_dir / "state.json").exists()
+        # a resumed run replaces both corpora with the snapshot's, so the
+        # input is only checked, not preprocessed
+        self.parallel = list(parallel) if resuming else [preprocess_sample(s) for s in parallel]
         self.mono = list(mono)
         validate_disjoint(self.parallel, self.mono)
         self.reports: list[IterationReport] = []
@@ -194,13 +197,12 @@ class IbtRunner:
         self._outcomes: dict | None = None
         self._iter_started = time.monotonic()
 
-        if self.snapshot_dir is not None:
+        if resuming:
+            self._resume()
+        elif self.snapshot_dir is not None:
             self.snapshot_dir.mkdir(parents=True, exist_ok=True)
-            if (self.snapshot_dir / "state.json").exists():
-                self._resume()
-            else:
-                self._snapshot_corpora(0)
-                self._save_state()
+            self._snapshot_corpora(0)
+            self._save_state()
 
     # -- snapshot plumbing ---------------------------------------------------
 

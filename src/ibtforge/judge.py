@@ -105,6 +105,10 @@ class JudgeConfig:
             raise ValueError(f"unknown language {self.language!r}")
         if self.output_normalization not in ("strip-trailing", "exact"):
             raise ValueError(f"unknown normalization {self.output_normalization!r}")
+        if 0 < self.memory_limit_mb < 16:
+            # the dynamic loader cannot map libc into a few MB of address
+            # space, so every test run would fail before the program starts
+            raise ValueError("memory_limit_mb must be 0 (no limit) or at least 16")
 
     def resolved_command(self, src: Path, bin_path: Path) -> list[str]:
         template = self.compiler_command or _DEFAULT_COMPILERS[self.language]

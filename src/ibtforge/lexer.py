@@ -54,25 +54,41 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Longest-match operator tables; three-char entries must be probed first.
-_OPS3 = ("<<=", ">>=", "...", "->*")
-_OPS2 = (
+# Multi-character operators, longest first: the alternation takes the first
+# that matches.
+_OPERATORS = (
+    "<<=", ">>=", "...", "->*",
     "==", "<<", ">>", "<=", ">=", "!=", "&&", "||", "::", "->",
     "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "##",
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(
+# One token per match: blanks are skipped, then the first branch that matches
+# names the token. No branch starts with a blank, so trailing blanks end the
+# line rather than lex as a punctuator. The number branch is ASCII-only, so a
+# non-ASCII digit is a one-character punctuator like any other non-ASCII
+# character.
+_TOKEN_RE = re.compile(
     r"""
-    (?: 0[xX][0-9a-fA-F]+(?:\.[0-9a-fA-F]*)?(?:[pP][+-]?[0-9]+)?
-      | (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?
+    [ \t\f\v]*
+    (?:
+      (?P<number>
+        (?: 0[xX][0-9a-fA-F]+(?:\.[0-9a-fA-F]*)?(?:[pP][+-]?[0-9]+)?
+          | (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?
+        )
+        [uUlLfF]*
+      )
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<line_comment>//)
+    | (?P<block_comment>/\*)
+    | (?P<quote>["'])
+    | (?P<punct>"""
+    + "|".join(re.escape(op) for op in _OPERATORS)
+    + r"""|[^ \t\f\v])
     )
-    [uUlLfF]*
     """,
     re.VERBOSE,
 )
-
-_WS = " \t\f\v"
+_DIRECTIVE_RE = re.compile(r"#[ \t\f\v]*([A-Za-z_][A-Za-z0-9_]*)?")
 
 
 def _pad_interior(interior: str) -> str:
@@ -113,32 +129,31 @@ def tokenize_line(raw: str) -> TokenizedLine:
     tokens: list[Token] = []
     diagnostics: list[str] = []
     i = 0
-    n = len(raw)
     expect_header = False
-    while i < n:
-        c = raw[i]
-        if c in _WS:
-            i += 1
-            continue
-        if c == "/" and raw.startswith("//", i):
+    while m := _TOKEN_RE.match(raw, i):
+        group = m.lastgroup
+        start = m.start(group)
+        i = m.end()
+        if group == "line_comment":
             break
-        if c == "/" and raw.startswith("/*", i):
-            end = raw.find("*/", i + 2)
+        if group == "block_comment":
+            end = raw.find("*/", start + 2)
             if end == -1:
                 break
             i = end + 2
             continue
+        c = raw[start]
         if expect_header and c == "<":
-            close = raw.find(">", i + 1)
+            close = raw.find(">", start + 1)
             if close != -1:
-                name = "".join(raw[i + 1 : close].split())
+                name = "".join(raw[start + 1 : close].split())
                 tokens.append(Token("<" + name + ">", TokenKind.PREPROCESSOR))
                 i = close + 1
                 expect_header = False
                 continue
-            # no closing '>': fall through to ordinary punctuator lexing
-        if c == '"' or c == "'":
-            interior, i, closed = _scan_literal(raw, i)
+            # no closing '>': an ordinary punctuator
+        if group == "quote":
+            interior, i, closed = _scan_literal(raw, start)
             kind = TokenKind.STRING if c == '"' else TokenKind.CHAR
             if not closed:
                 diagnostics.append(f"unterminated literal at column {i - len(interior)}")
@@ -151,37 +166,21 @@ def tokenize_line(raw: str) -> TokenizedLine:
             expect_header = False
             continue
         expect_header = False
-        if c == "#" and not tokens:
-            j = i + 1
-            while j < n and raw[j] in _WS:
-                j += 1
-            m = _IDENT_RE.match(raw, j)
-            directive = m.group(0) if m else ""
+        text = m.group(group)
+        if group == "word":
+            tokens.append(
+                Token(text, TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER)
+            )
+        elif group == "number":
+            tokens.append(Token(text, TokenKind.NUMBER))
+        elif c == "#" and not tokens:
+            d = _DIRECTIVE_RE.match(raw, start)
+            directive = d.group(1) or ""
             tokens.append(Token("#" + directive, TokenKind.PREPROCESSOR))
-            i = m.end() if m else j
-            if directive in ("include", "include_next"):
-                expect_header = True
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and raw[i + 1].isdigit()):
-            m = _NUMBER_RE.match(raw, i)
-            assert m is not None
-            tokens.append(Token(m.group(0), TokenKind.NUMBER))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(raw, i)
-        if m:
-            text = m.group(0)
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(text, kind))
-            i = m.end()
-            continue
-        op = next((o for o in _OPS3 if raw.startswith(o, i)), None)
-        if op is None:
-            op = next((o for o in _OPS2 if raw.startswith(o, i)), None)
-        if op is None:
-            op = c
-        tokens.append(Token(op, TokenKind.PUNCTUATOR))
-        i += len(op)
+            i = d.end()
+            expect_header = directive in ("include", "include_next")
+        else:
+            tokens.append(Token(text, TokenKind.PUNCTUATOR))
     if diagnostics:
         log.warning("tokenize_line: %s in %r", "; ".join(diagnostics), raw)
     return TokenizedLine(

@@ -128,6 +128,9 @@ class Backend(Protocol):
 # ---------------------------------------------------------------------------
 # Template baseline backend
 
+# The C encoder of the json module; it writes tuples as arrays.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 _TAG_RE = re.compile(r"(<pl:(?:cpp|c)>|<w:[0-9]+>) ")
 
 _SLOT_KINDS = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
@@ -208,13 +211,6 @@ class _Template:
     @property
     def literal_count(self) -> int:
         return sum(1 for e in self.source if e[0] == "lit")
-
-    def to_record(self, direction: str) -> dict:
-        return {
-            "direction": direction,
-            "source": [list(e) for e in self.source],
-            "target": [list(e) for e in self.target],
-        }
 
 
 def _abstract_pair(code_line: str, pseudo_line: str, source_is_code: bool) -> _Template:
@@ -494,14 +490,17 @@ class TemplateBackend:
     # -- persistence -------------------------------------------------------
 
     def save_state(self, path: str | Path) -> None:
-        path = Path(path)
-        entries = []
-        for direction in DIRECTIONS:
-            for template in sorted(self._tables[direction].values(), key=lambda t: t.seq):
-                entries.append(template.to_record(direction))
-        with path.open("w", encoding="utf-8") as fh:
-            for rec in entries:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        """Write one JSON record per template, in training order. Each line
+        is built around the encoded element lists, with its keys in sorted
+        order, so the bytes are those of ``json.dumps(record, sort_keys=True,
+        separators=(",", ":"))``."""
+        with Path(path).open("w", encoding="utf-8") as fh:
+            for direction in DIRECTIONS:
+                head = '{"direction":' + _encode(direction) + ',"source":'
+                for template in sorted(self._tables[direction].values(), key=lambda t: t.seq):
+                    fh.write(
+                        f'{head}{_encode(template.source)},"target":{_encode(template.target)}}}\n'
+                    )
 
     def load_state(self, path: str | Path) -> None:
         self._tables = {FORWARD: {}, BACKWARD: {}}

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import subprocess
+from collections import Counter
 
 import pytest
 
+import ibtforge.assembler as assembler_module
 from conftest import requires_gcc
 from ibtforge.assembler import (
     BEST_FIRST,
+    GREEDY_REPAIR,
     AssemblyResult,
     assemble,
     error_lines,
@@ -16,6 +20,7 @@ from ibtforge.assembler import (
 )
 from ibtforge.corpus import TestCase
 from ibtforge.judge import JudgeVerdict, VerdictKind
+from ibtforge.lexer import unpad_literals
 from ibtforge.translator import Candidate, LineBeam
 
 TESTS = [TestCase(b"", b"")]
@@ -203,6 +208,72 @@ class TestBestFirst:
         result = assemble(make_beams([3, 3, 3]), TESTS, budget=5, judge=judge, strategy=BEST_FIRST)
         assert result.executions_used == 5
         assert not result.success
+
+
+def make_literal_beams(widths):
+    """Beams whose candidates print a padded string literal, so unpadding
+    changes every line; the literal encodes (line, candidate)."""
+    return [
+        LineBeam(
+            source=f"line{line}",
+            candidates=tuple(
+                Candidate(text=f'printf ( " L{line}C{c} " ) ;', score=float(-c)) for c in range(width)
+            ),
+        )
+        for line, width in enumerate(widths)
+    ]
+
+
+class RecordingJudge(CompileStubJudge):
+    """``CompileStubJudge`` over unpadded literal lines, keeping every source."""
+
+    def __init__(self, good_sets):
+        super().__init__(good_sets)
+        self.sources = []
+
+    def __call__(self, source, tests):
+        self.sources.append(source)
+        choices = re.findall(r'^printf \( "L\d+C(\d+)" \) ;$', source, re.MULTILINE)
+        assert len(choices) == len(source.splitlines())
+        return super().__call__("\n".join(f"C{c}" for c in choices), tests)
+
+
+def _unpad_every_call(beams, choice, unpadded):
+    """Program text with every chosen line unpadded afresh on every call."""
+    return "\n".join(unpad_literals(beams[i].candidates[c].text) for i, c in enumerate(choice))
+
+
+class TestCompileSource:
+    @pytest.mark.parametrize("strategy", [GREEDY_REPAIR, BEST_FIRST])
+    def test_each_candidate_unpadded_once_with_the_same_sources(self, strategy, monkeypatch):
+        rng = random.Random(31)
+        for _ in range(120):
+            widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            good_sets = [{c for c in range(w) if rng.random() < 0.5} for w in widths]
+            budget = rng.randint(1, 8)
+            beams = make_literal_beams(widths)
+            with monkeypatch.context() as m:
+                m.setattr(assembler_module, "_compile_source", _unpad_every_call)
+                reference = RecordingJudge(good_sets)
+                expected = assemble(beams, TESTS, budget, reference, strategy)
+            unpadded = Counter()
+
+            def counting_unpad(line):
+                unpadded[line] += 1
+                return unpad_literals(line)
+
+            with monkeypatch.context() as m:
+                m.setattr(assembler_module, "unpad_literals", counting_unpad)
+                judge = RecordingJudge(good_sets)
+                result = assemble(beams, TESTS, budget, judge, strategy)
+            assert judge.sources == reference.sources
+            assert result == expected
+            assert result.executions_used == len(judge.sources)
+            judged_lines = {
+                (i, c) for choice in judge.judged_choices for i, c in enumerate(choice)
+            }
+            assert sum(unpadded.values()) == len(judged_lines)
+            assert set(unpadded.values()) == {1}
 
 
 class TestErrorLineParsing:

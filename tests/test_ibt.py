@@ -13,6 +13,7 @@ from ibtforge.corpus import MonoSample, ParallelSample, TestCase
 from ibtforge.ibt import IbtConfig, IbtRunner, IterationReport, run_ibt, select_top_workers
 from ibtforge.judge import JudgeConfig, JudgeFailureError, JudgeVerdict, VerdictKind
 from ibtforge.metrics import cumulative_success
+from ibtforge.preprocess import preprocess_sample
 from ibtforge.translator import BackendUnavailable, TemplateBackend
 
 CFG = IbtConfig(iterations=2, beam=4, budget=10, workers_top_k=2, pl_prefix_from_iteration=1)
@@ -329,6 +330,23 @@ class TestResumability:
         final = json.loads((tmp_path / "s" / "state.json").read_text())
         assert final["finished"]
         assert len(resumed) == 2
+
+    @pytest.mark.parametrize("boundary", [(0, "finetune-forward"), (0, "augment"), (1, "evaluate")])
+    def test_resume_does_not_preprocess_the_input(self, tmp_path, monkeypatch, boundary):
+        baseline = self._normalized(self._run(tmp_path / "clean"))
+        preprocessed = []
+
+        def counting_preprocess(sample):
+            preprocessed.append(sample.id)
+            return preprocess_sample(sample)
+
+        monkeypatch.setattr(ibt_module, "preprocess_sample", counting_preprocess)
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        assert len(preprocessed) == len(build_seed_parallel())
+        preprocessed.clear()
+        assert self._normalized(self._run(snap)) == baseline
+        assert preprocessed == []
 
     def test_snapshot_files_written(self, tmp_path):
         self._run(tmp_path / "s")

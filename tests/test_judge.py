@@ -122,6 +122,17 @@ class TestNormalization:
         assert verdict.kind is VerdictKind.ALL_PASSED
 
 
+class TestConfig:
+    @pytest.mark.parametrize("limit", [1, 2, 15])
+    def test_memory_limit_below_the_loader_floor_rejected(self, limit):
+        with pytest.raises(ValueError, match="memory_limit_mb"):
+            JudgeConfig(memory_limit_mb=limit)
+
+    @pytest.mark.parametrize("limit", [0, 16, 256])
+    def test_memory_limit_zero_or_workable_accepted(self, limit):
+        assert JudgeConfig(memory_limit_mb=limit).memory_limit_mb == limit
+
+
 @requires_gcc
 class TestInfrastructure:
     def test_missing_compiler_raises(self, tmp_path):

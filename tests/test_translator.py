@@ -507,6 +507,81 @@ class TestAbstractionMemo:
         assert _saved_records(memoised)[1] == _saved_records(fresh)[1]
 
 
+def _to_record(template, direction):
+    return {
+        "direction": direction,
+        "source": [list(e) for e in template.source],
+        "target": [list(e) for e in template.target],
+    }
+
+
+def json_dumps_table(backend):
+    """The table file as ``json.dumps`` of one record dict per template: the
+    reference for ``save_state``'s bytes."""
+    return "".join(
+        json.dumps(_to_record(template, direction), sort_keys=True, separators=(",", ":")) + "\n"
+        for direction in (FORWARD, BACKWARD)
+        for template in sorted(backend._tables[direction].values(), key=lambda t: t.seq)
+    ).encode("utf-8")
+
+
+# literal text beyond the vocabulary: non-ASCII letters, astral characters,
+# quotes, backslashes and control characters all go through the encoder
+odd_texts = st.text(
+    alphabet=st.sampled_from(list("aZ_9 \"\\/\t\n\x00\x7féü中\u2028\U0001f600")), min_size=1, max_size=6
+)
+
+
+@st.composite
+def odd_tables(draw):
+    records = draw(tables())
+    for rec in records:
+        for side in ("source", "target"):
+            rec[side] = [
+                ("lit", draw(odd_texts)) if e[0] == "lit" and draw(st.booleans()) else e
+                for e in rec[side]
+            ]
+    return records
+
+
+class TestTableFile:
+    @settings(max_examples=150, deadline=None)
+    @given(records=odd_tables())
+    def test_loaded_tables_save_json_dumps_bytes(self, records):
+        backend = _load(records)
+        assert _saved_records(backend)[1] == json_dumps_table(backend)
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=fine_tune_calls)
+    def test_fine_tuned_tables_save_json_dumps_bytes(self, calls):
+        backend = TemplateBackend()
+        for dataset, direction, config in calls:
+            backend.fine_tune(dataset, direction, config)
+            assert _saved_records(backend)[1] == json_dumps_table(backend)
+
+    def test_non_ascii_literals_are_escaped(self, tmp_path):
+        backend = TemplateBackend()
+        sample = make_pair_sample("s:1:1", 1, ['puts ( "h\u00e9" ) ;'], ["say h\u00e9 \U0001f600"])
+        backend.fine_tune([sample], FORWARD, {})
+        path = tmp_path / "t.jsonl"
+        backend.save_state(path)
+        assert path.read_bytes() == json_dumps_table(backend)
+        assert path.read_bytes().isascii()
+        assert b"\\ud83d\\ude00" in path.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=odd_tables())
+    def test_load_then_save_is_byte_identical(self, records):
+        written = json_dumps_table(_load(records))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.jsonl"
+            path.write_bytes(written)
+            backend = TemplateBackend()
+            backend.load_state(path)
+            backend.save_state(path)
+            assert path.read_bytes() == written
+
+
 class TestExpandWorkers:
     def _mono(self, n_lines=3):
         lines = ["int main ( ) {", "x = 1 ;", "}"][:n_lines]
