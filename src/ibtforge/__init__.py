@@ -13,7 +13,6 @@ from .corpus import (
     move_to_parallel,
     save_mono,
     save_parallel,
-    simple_code_filter,
 )
 from .ibt import IbtConfig, IterationReport, run_ibt, select_top_workers
 from .judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program
@@ -66,7 +65,6 @@ __all__ = [
     "save_mono",
     "save_parallel",
     "select_top_workers",
-    "simple_code_filter",
     "strip_prefix",
     "tokenize_line",
 ]

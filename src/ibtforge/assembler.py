@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import TestCase
@@ -23,20 +23,11 @@ from .translator import LineBeam
 GREEDY_REPAIR = "greedy-repair"
 BEST_FIRST = "best-first"
 
-# Recognized compiler diagnostic shapes; extendable via the patterns argument.
-DEFAULT_DIAGNOSTIC_PATTERNS = (
+# Recognized compiler diagnostic shapes: file:line:column: and file:line:
+_DIAGNOSTIC_PATTERNS = (
     re.compile(r"^[^:\n]+:(\d+):\d+:\s*(?:fatal\s+)?error\s*:", re.MULTILINE),
     re.compile(r"^[^:\n]+:(\d+):\s*(?:fatal\s+)?error\s*:", re.MULTILINE),
 )
-
-@dataclass
-class AssemblyState:
-    """Search bookkeeping: the per-line candidate choice, executions spent,
-    and the (degenerate, under greedy repair) score-ordered frontier."""
-
-    choice: list[int]
-    executions_used: int = 0
-    frontier: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -48,16 +39,12 @@ class AssemblyResult:
     chosen_indices: tuple[int, ...]
 
 
-def error_lines(
-    diagnostics: str,
-    line_count: int,
-    patterns: Sequence[re.Pattern] = DEFAULT_DIAGNOSTIC_PATTERNS,
-) -> list[int]:
+def error_lines(diagnostics: str, line_count: int) -> list[int]:
     """All 0-based program line indices implicated by error diagnostics,
     ascending; references outside the program (e.g. inside headers) are
     dropped."""
     hits: set[int] = set()
-    for pattern in patterns:
+    for pattern in _DIAGNOSTIC_PATTERNS:
         for m in pattern.finditer(diagnostics):
             idx = int(m.group(1)) - 1
             if 0 <= idx < line_count:
@@ -65,14 +52,10 @@ def error_lines(
     return sorted(hits)
 
 
-def first_error_line(
-    diagnostics: str,
-    line_count: int,
-    patterns: Sequence[re.Pattern] = DEFAULT_DIAGNOSTIC_PATTERNS,
-) -> int | None:
+def first_error_line(diagnostics: str, line_count: int) -> int | None:
     """Smallest implicated line index, or None when the diagnostics carry no
     usable line reference (the caller then stops repairing)."""
-    lines = error_lines(diagnostics, line_count, patterns)
+    lines = error_lines(diagnostics, line_count)
     return lines[0] if lines else None
 
 
@@ -125,14 +108,14 @@ def assemble(
 
 
 def _result(
-    beams: Sequence[LineBeam], state: AssemblyState, verdict: JudgeVerdict
+    beams: Sequence[LineBeam], choice: Sequence[int], verdict: JudgeVerdict, executions: int
 ) -> AssemblyResult:
     return AssemblyResult(
         success=verdict.kind is VerdictKind.ALL_PASSED,
-        program=_canonical_program(beams, state.choice),
+        program=_canonical_program(beams, choice),
         verdict=verdict,
-        executions_used=state.executions_used,
-        chosen_indices=tuple(state.choice),
+        executions_used=executions,
+        chosen_indices=tuple(choice),
     )
 
 
@@ -142,25 +125,25 @@ def _assemble_greedy(
     budget: int,
     judge: JudgeFn,
 ) -> AssemblyResult:
-    state = AssemblyState(choice=[0] * len(beams))
+    choice = [0] * len(beams)
     unpadded: dict[tuple[int, int], str] = {}
-    verdict = judge(_compile_source(beams, state.choice, unpadded), tests)
-    state.executions_used = 1
-    while state.executions_used < budget:
+    verdict = judge(_compile_source(beams, choice, unpadded), tests)
+    executions = 1
+    while executions < budget:
         if verdict.kind is not VerdictKind.COMPILE_ERROR:
             # passed, or failed tests with no per-line repair signal
             break
         advanced = False
         for line in error_lines(verdict.diagnostics, len(beams)):
-            if state.choice[line] + 1 < len(beams[line].candidates):
-                state.choice[line] += 1
+            if choice[line] + 1 < len(beams[line].candidates):
+                choice[line] += 1
                 advanced = True
                 break
         if not advanced:
             break
-        verdict = judge(_compile_source(beams, state.choice, unpadded), tests)
-        state.executions_used += 1
-    return _result(beams, state, verdict)
+        verdict = judge(_compile_source(beams, choice, unpadded), tests)
+        executions += 1
+    return _result(beams, choice, verdict, executions)
 
 
 def _assemble_best_first(
@@ -173,16 +156,14 @@ def _assemble_best_first(
         return sum(beams[i].candidates[c].score for i, c in enumerate(choice))
 
     start = tuple([0] * len(beams))
-    state = AssemblyState(choice=list(start))
-    heapq.heappush(state.frontier, (-total_score(start), start))
+    frontier = [(-total_score(start), start)]
     seen = {start}
     unpadded: dict[tuple[int, int], str] = {}
-    verdict: JudgeVerdict | None = None
-    while state.frontier and state.executions_used < budget:
-        _, choice = heapq.heappop(state.frontier)
-        state.choice = list(choice)
+    executions = 0
+    while frontier and executions < budget:
+        _, choice = heapq.heappop(frontier)
         verdict = judge(_compile_source(beams, choice, unpadded), tests)
-        state.executions_used += 1
+        executions += 1
         if verdict.kind is VerdictKind.ALL_PASSED:
             break
         for i in range(len(beams)):
@@ -190,6 +171,5 @@ def _assemble_best_first(
                 neighbor = choice[:i] + (choice[i] + 1,) + choice[i + 1 :]
                 if neighbor not in seen:
                     seen.add(neighbor)
-                    heapq.heappush(state.frontier, (-total_score(neighbor), neighbor))
-    assert verdict is not None
-    return _result(beams, state, verdict)
+                    heapq.heappush(frontier, (-total_score(neighbor), neighbor))
+    return _result(beams, choice, verdict, executions)

@@ -22,6 +22,7 @@ from . import __version__
 from .assembler import assemble
 from .corpus import (
     CorpusError,
+    atomic_open,
     discover_tests,
     ingest_mono,
     ingest_parallel,
@@ -74,7 +75,7 @@ _SECTION_KEYS = {
         "output_normalization",
     },
     "ibt": {"iterations", "beam", "budget", "workers_top_k", "pl_prefix_from_iteration"},
-    "run": {"max_workers", "seed"},
+    "run": {"max_workers"},
 }
 
 
@@ -85,7 +86,6 @@ class PipelineConfig:
     judge: JudgeConfig
     ibt: IbtConfig
     max_workers: int = 1
-    seed: int = 0
 
     def path(self, key: str) -> Path:
         value = self.paths.get(key)
@@ -140,14 +140,12 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
         ibt_cfg = IbtConfig(**raw.get("ibt", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    run_raw = raw.get("run", {})
     return PipelineConfig(
         paths=dict(raw.get("paths", {})),
         backend=dict(raw.get("backend", {})),
         judge=judge_cfg,
         ibt=ibt_cfg,
-        max_workers=int(run_raw.get("max_workers", 1)),
-        seed=int(run_raw.get("seed", 0)),
+        max_workers=int(raw.get("run", {}).get("max_workers", 1)),
     )
 
 
@@ -169,7 +167,8 @@ def _emit(human: str, record: dict, out_path: Path | None) -> None:
     if out_path is not None:
         record = {"schema_version": SCHEMA_VERSION, **record}
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        with atomic_open(out_path) as fh:
+            fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
         print(f"report written to {out_path}")
 
 
@@ -186,7 +185,8 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
         tokenized = tokenize_line(raw)
         warnings += len(tokenized.diagnostics)
         lines_out.append(tokenized.canonical)
-    out_path.write_text("".join(line + "\n" for line in lines_out), encoding="utf-8")
+    with atomic_open(out_path) as fh:
+        fh.write("".join(line + "\n" for line in lines_out))
     print(f"{len(lines_out)} lines canonicalized, {warnings} warnings", file=sys.stderr)
     return EXIT_OK
 

@@ -1,5 +1,5 @@
 """Data model and ingestion for the parallel and monolingual corpora, their
-test-case stores, evaluation splits, and line-delimited JSON snapshots."""
+test-case stores, and line-delimited JSON snapshots."""
 
 from __future__ import annotations
 
@@ -7,11 +7,12 @@ import csv
 import hashlib
 import json
 import logging
-import random
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .lexer import canonicalize, strip_comments
 
@@ -313,26 +314,7 @@ def ingest_mono(path: str | Path, stats: IngestStats | None = None) -> list[Mono
 
 
 # ---------------------------------------------------------------------------
-# Selection filter and augmentation
-
-
-@dataclass(frozen=True)
-class ProblemMeta:
-    source: str  # "atcoder" or "aizu"
-    difficulty: float = 0.0
-    accepted_count: int = 0
-
-
-def simple_code_filter(problem_meta: ProblemMeta) -> bool:
-    """Keep only "simple" problems: a high ratio of accepted submissions to
-    difficulty (atcoder) or a large accepted count (aizu)."""
-    if problem_meta.source == "atcoder":
-        if problem_meta.difficulty <= 0:
-            return False
-        return problem_meta.accepted_count / problem_meta.difficulty >= 7.0
-    if problem_meta.source == "aizu":
-        return problem_meta.accepted_count > 2500
-    raise ValueError(f"unknown problem source: {problem_meta.source!r}")
+# Augmentation
 
 
 def move_to_parallel(
@@ -369,69 +351,29 @@ def validate_disjoint(parallel: Iterable[ParallelSample], mono: Iterable[MonoSam
 
 
 # ---------------------------------------------------------------------------
-# Evaluation splits
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    kind: str  # test-p | test-w | train | valid
-    ids: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("test-p", "test-w", "train", "valid"):
-            raise ValueError(f"unknown split kind {self.kind!r}")
-
-
-def make_splits(
-    samples: list[ParallelSample],
-    test_problems: set[str],
-    test_workers: set[int],
-    valid_fraction: float = 0.1,
-    seed: int = 0,
-) -> dict[str, SplitSpec]:
-    """Carve TESTP (held-out problems), TESTW (held-out annotators), then
-    split the remainder into train/valid."""
-    testp = [s for s in samples if s.problem in test_problems]
-    testw = [s for s in samples if s.problem not in test_problems and s.worker in test_workers]
-    rest = [s for s in samples if s.problem not in test_problems and s.worker not in test_workers]
-    ids = [s.id for s in rest]
-    random.Random(seed).shuffle(ids)
-    n_valid = int(len(ids) * valid_fraction)
-    splits = {
-        "test-p": SplitSpec("test-p", frozenset(s.id for s in testp)),
-        "test-w": SplitSpec("test-w", frozenset(s.id for s in testw)),
-        "valid": SplitSpec("valid", frozenset(ids[:n_valid])),
-        "train": SplitSpec("train", frozenset(ids[n_valid:])),
-    }
-    validate_splits(samples, splits)
-    return splits
-
-
-def validate_splits(samples: list[ParallelSample], splits: dict[str, SplitSpec]) -> None:
-    by_id = {s.id: s for s in samples}
-    train = splits["train"].ids
-    train_problems = {by_id[i].problem for i in train}
-    train_workers = {by_id[i].worker for i in train}
-    testp_problems = {by_id[i].problem for i in splits["test-p"].ids}
-    testw_workers = {by_id[i].worker for i in splits["test-w"].ids}
-    if train_problems & testp_problems:
-        raise CorpusError("test-p shares problems with train")
-    if train_workers & testw_workers:
-        raise CorpusError("test-w shares workers with train")
-    seen: set[str] = set()
-    for spec in splits.values():
-        if spec.ids & seen:
-            raise CorpusError("splits overlap")
-        seen |= spec.ids
-
-
-# ---------------------------------------------------------------------------
 # Snapshots: line-delimited JSON plus a manifest with counts and hashes
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so that it is replaced whole or not at
+    all: the text goes to ``<name>.tmp``, which is renamed over ``path`` when
+    the block exits cleanly and deleted when it raises. A killed process
+    leaves at worst a stray ``.tmp`` file, never a torn ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dump_records(records: Iterable[dict], path: Path) -> int:
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
@@ -483,8 +425,7 @@ def write_manifest(directory: str | Path, files: Iterable[str | Path]) -> Path:
             count = sum(1 for line in fh if line.strip())
         entries[f.name] = {"count": count, "sha256": _sha256(f)}
     manifest = directory / "manifest.json"
-    manifest.write_text(
-        json.dumps({"schema_version": 1, "files": entries}, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    payload = {"schema_version": 1, "files": entries}
+    with atomic_open(manifest) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return manifest

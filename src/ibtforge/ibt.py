@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
     MonoSample,
     ParallelSample,
+    atomic_open,
     load_mono,
     load_parallel,
     move_to_parallel,
@@ -32,6 +32,7 @@ from .corpus import (
     write_manifest,
 )
 from .judge import JudgeConfig, JudgeFailureError, JudgeFn, judge_program, memoize_verdicts
+from .metrics import cumulative_success
 from .preprocess import Prefix, apply_prefix, preprocess_sample
 from .translator import (
     BACKWARD,
@@ -71,13 +72,7 @@ class IbtConfig:
             raise ValueError("pl_prefix_from_iteration must lie within the iteration range")
 
     def to_record(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "beam": self.beam,
-            "budget": self.budget,
-            "workers_top_k": self.workers_top_k,
-            "pl_prefix_from_iteration": self.pl_prefix_from_iteration,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -93,31 +88,12 @@ class IterationReport:
     snapshots: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "tested_count": self.tested_count,
-            "passed_count": self.passed_count,
-            "success_rate_pct": round(self.success_rate_pct, 4),
-            "cumulative_success_rate_pct": round(self.cumulative_success_rate_pct, 4),
-            "augmented_pairs_count": self.augmented_pairs_count,
-            "quarantined_count": self.quarantined_count,
-            "wall_time_s": self.wall_time_s,
-            "snapshots": dict(self.snapshots),
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "IterationReport":
-        return cls(
-            iteration=rec["iteration"],
-            tested_count=rec["tested_count"],
-            passed_count=rec["passed_count"],
-            success_rate_pct=rec["success_rate_pct"],
-            cumulative_success_rate_pct=rec["cumulative_success_rate_pct"],
-            augmented_pairs_count=rec["augmented_pairs_count"],
-            quarantined_count=rec.get("quarantined_count", 0),
-            wall_time_s=rec.get("wall_time_s", 0.0),
-            snapshots=rec.get("snapshots", {}),
-        )
+        """The fields as a dict, with both rates rounded to 4 places;
+        ``IterationReport(**record)`` reads it back."""
+        rec = asdict(self)
+        rec["success_rate_pct"] = round(self.success_rate_pct, 4)
+        rec["cumulative_success_rate_pct"] = round(self.cumulative_success_rate_pct, 4)
+        return rec
 
 
 def select_top_workers(dataset: Sequence[ParallelSample], k: int) -> list[int]:
@@ -132,14 +108,9 @@ def select_top_workers(dataset: Sequence[ParallelSample], k: int) -> list[int]:
     return [worker for worker, _ in ranked[:k]]
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _dump_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 class IbtRunner:
@@ -161,7 +132,6 @@ class IbtRunner:
         judge_fn: JudgeFn | None = None,
         snapshot_dir: str | Path | None = None,
         max_workers: int = 1,
-        fine_tune_config: dict | None = None,
     ) -> None:
         if not parallel:
             raise ValueError("parallel corpus must be non-empty")
@@ -180,7 +150,6 @@ class IbtRunner:
         )
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
         self.max_workers = max(1, max_workers)
-        self.fine_tune_config = dict(fine_tune_config or {})
 
         resuming = self.snapshot_dir is not None and (self.snapshot_dir / "state.json").exists()
         # a resumed run replaces both corpora with the snapshot's, so the
@@ -236,14 +205,6 @@ class IbtRunner:
             if callable(save):
                 save(self.snapshot_dir / f"{name}.table.jsonl")
 
-    def _load_backends(self) -> None:
-        assert self.snapshot_dir is not None
-        for name, backend in (("forward", self.forward), ("backward", self.backward)):
-            load = getattr(backend, "load_state", None)
-            path = self.snapshot_dir / f"{name}.table.jsonl"
-            if callable(load) and path.exists():
-                load(path)
-
     def _save_state(self) -> None:
         if self.snapshot_dir is None:
             return
@@ -259,7 +220,19 @@ class IbtRunner:
         }
         _dump_json(self.snapshot_dir / "state.json", payload)
 
+    def _done(self) -> int:
+        """How many of the current iteration's phases have completed."""
+        return PHASES.index(self.completed_phase) + 1 if self.completed_phase else 0
+
+    @staticmethod
+    def _required(path: Path) -> Path:
+        if not path.exists():
+            raise IbtError(f"cannot resume: snapshot file {path.name} is missing")
+        return path
+
     def _resume(self) -> None:
+        """Restore the state, corpora, tables and evaluation that the last
+        completed phase left; refuse, naming the file, when one is missing."""
         assert self.snapshot_dir is not None
         state = json.loads((self.snapshot_dir / "state.json").read_text(encoding="utf-8"))
         if state.get("config") != self.cfg.to_record():
@@ -268,35 +241,23 @@ class IbtRunner:
         self.iteration = state["iteration"]
         self.completed_phase = state["completed_phase"]
         self.finished = state["finished"]
-        self.reports = [IterationReport.from_record(r) for r in state["reports"]]
+        self.reports = [IterationReport(**r) for r in state["reports"]]
         self.quarantined = [tuple(q) for q in state["quarantined"]]
-        phase_idx = PHASES.index(self.completed_phase) if self.completed_phase else -1
-        corpus_iter = self.iteration
-        if self.completed_phase and phase_idx >= PHASES.index("augment"):
-            corpus_iter = self.iteration + 1
-        d_path, y_path = self._corpus_paths(corpus_iter)
-        self.parallel = load_parallel(d_path)
-        self.mono = load_mono(y_path)
-        self._load_backends()
-        outcome_path = self.snapshot_dir / f"evaluation.{self.iteration}.json"
-        if (
-            self.completed_phase
-            and phase_idx >= PHASES.index("evaluate")
-            and outcome_path.exists()
-        ):
+        done = self._done()
+        d_path, y_path = self._corpus_paths(self.iteration + (done > PHASES.index("augment")))
+        self.parallel = load_parallel(self._required(d_path))
+        self.mono = load_mono(self._required(y_path))
+        for name, backend in (("forward", self.forward), ("backward", self.backward)):
+            load = getattr(backend, "load_state", None)
+            trained = self.iteration > 0 or done > PHASES.index(f"finetune-{name}")
+            if callable(load) and trained:
+                load(self._required(self.snapshot_dir / f"{name}.table.jsonl"))
+        if done > PHASES.index("evaluate"):
+            outcome_path = self._required(self.snapshot_dir / f"evaluation.{self.iteration}.json")
             self._outcomes = json.loads(outcome_path.read_text(encoding="utf-8"))
         log.info(
             "resumed at iteration %d after phase %r", self.iteration, self.completed_phase
         )
-
-    def _phase_completed(self, phase: str) -> None:
-        self.completed_phase = phase
-        self._save_state()
-
-    def _phase_pending(self, phase: str) -> bool:
-        if self.completed_phase is None:
-            return True
-        return PHASES.index(phase) > PHASES.index(self.completed_phase)
 
     # -- phases ----------------------------------------------------------------
 
@@ -304,12 +265,9 @@ class IbtRunner:
         return self.iteration >= self.cfg.pl_prefix_from_iteration
 
     def _phase_finetune(self, direction: str) -> None:
-        config = dict(self.fine_tune_config)
-        config["worker_prefix"] = direction == FORWARD
-        config["pl_prefix"] = self._pl_on()
+        config = {"worker_prefix": direction == FORWARD, "pl_prefix": self._pl_on()}
         backend = self.forward if direction == FORWARD else self.backward
-        handle = backend.fine_tune(self.parallel, direction, config)
-        handle.wait()
+        backend.fine_tune(self.parallel, direction, config).wait()
         self._save_backend(direction)
 
     def _evaluate_sample(self, sample: MonoSample, workers: list[int]) -> tuple[str, object]:
@@ -357,11 +315,10 @@ class IbtRunner:
         if self.snapshot_dir is not None:
             _dump_json(self.snapshot_dir / f"evaluation.{self.iteration}.json", self._outcomes)
 
-    def _phase_augment(self) -> int:
+    def _phase_augment(self) -> None:
         assert self._outcomes is not None
         passes = {entry[0]: entry[1] for entry in self._outcomes["passes"]}
         quarantined_ids = {entry[0] for entry in self._outcomes["quarantined"]}
-        augmented = 0
         remaining: list[MonoSample] = []
         for sample in self.mono:
             if sample.id in passes:
@@ -369,40 +326,41 @@ class IbtRunner:
                     self.parallel.append(
                         move_to_parallel(sample, worker, list(pseudo_lines), self.iteration)
                     )
-                    augmented += 1
-            elif sample.id in quarantined_ids:
-                continue
-            else:
+            elif sample.id not in quarantined_ids:
                 remaining.append(sample)
         self.mono = remaining
         for entry in self._outcomes["quarantined"]:
             self.quarantined.append((entry[0], entry[1]))
         validate_disjoint(self.parallel, self.mono)
         self._snapshot_corpora(self.iteration + 1)
-        return augmented
 
-    def _phase_report(self, tested_count: int, augmented: int) -> IterationReport:
+    def _phase_report(self) -> None:
+        """Report the iteration, then move on to the next one."""
         assert self._outcomes is not None
-        passed = len(self._outcomes["passes"])
+        passes = self._outcomes["passes"]
+        passed = len(passes)
         quarantined = len(self._outcomes["quarantined"])
-        total_passed = sum(r.passed_count for r in self.reports) + passed
-        d_name, y_name = (
-            f"corpus.D.{self.iteration + 1}.jsonl",
-            f"corpus.Y.{self.iteration + 1}.jsonl",
-        )
+        # size of Y at iteration start: augmentation has removed the passed
+        # and the quarantined samples from the in-memory pool
+        tested_count = len(self.mono) + passed + quarantined
         report = IterationReport(
             iteration=self.iteration,
             tested_count=tested_count,
             passed_count=passed,
             success_rate_pct=100.0 * passed / tested_count if tested_count else 0.0,
-            cumulative_success_rate_pct=100.0 * total_passed / self.initial_mono_count,
-            augmented_pairs_count=augmented,
+            cumulative_success_rate_pct=0.0,
+            augmented_pairs_count=sum(len(entry[1]) for entry in passes),
             quarantined_count=quarantined,
             wall_time_s=round(time.monotonic() - self._iter_started, 3),
-            snapshots={"D": d_name, "Y": y_name} if self.snapshot_dir is not None else {},
+        )
+        # also checks that each iteration tested what the previous one left
+        report.cumulative_success_rate_pct = cumulative_success(
+            [*self.reports, report], self.initial_mono_count
         )
         self.reports.append(report)
         if self.snapshot_dir is not None:
+            d_path, y_path = self._corpus_paths(self.iteration + 1)
+            report.snapshots = {"D": d_path.name, "Y": y_path.name}
             _dump_json(
                 self.snapshot_dir / "reports.json",
                 {
@@ -411,69 +369,35 @@ class IbtRunner:
                     "reports": [r.to_record() for r in self.reports],
                 },
             )
-        return report
+        self.iteration += 1
+        self._outcomes = None
+        self.finished = not self.mono or self.iteration == self.cfg.iterations
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self, stop_after: tuple[int, str] | None = None) -> list[IterationReport]:
         """Run to completion, or to ``stop_after=(iteration, phase)`` for
-        cooperative kill-and-resume testing."""
-        if self.finished:
-            return self.reports
-
-        def should_stop(phase: str) -> bool:
-            return stop_after is not None and stop_after == (self.iteration, phase)
-
+        cooperative kill-and-resume testing. State is saved after every
+        phase, so a resumed runner starts at the first phase not completed."""
+        steps = (
+            lambda: self._phase_finetune(FORWARD),
+            lambda: self._phase_finetune(BACKWARD),
+            self._phase_evaluate,
+            self._phase_augment,
+            self._phase_report,
+        )
         try:
-            while self.iteration < self.cfg.iterations:
+            while not self.finished and self.iteration < self.cfg.iterations:
                 self._iter_started = time.monotonic()
-                if self._phase_pending("finetune-forward"):
-                    self._phase_finetune(FORWARD)
-                    self._phase_completed("finetune-forward")
-                    if should_stop("finetune-forward"):
+                done = self._done()
+                for phase, step in zip(PHASES[done:], steps[done:]):
+                    boundary = (self.iteration, phase)
+                    step()
+                    # the report step has already moved on to the next iteration
+                    self.completed_phase = phase if phase != PHASES[-1] else None
+                    self._save_state()
+                    if boundary == stop_after:
                         return self.reports
-                if self._phase_pending("finetune-backward"):
-                    self._phase_finetune(BACKWARD)
-                    self._phase_completed("finetune-backward")
-                    if should_stop("finetune-backward"):
-                        return self.reports
-                if self._phase_pending("evaluate"):
-                    self._phase_evaluate()
-                    self._phase_completed("evaluate")
-                    if should_stop("evaluate"):
-                        return self.reports
-                augmented = 0
-                if self._phase_pending("augment"):
-                    augmented = self._phase_augment()
-                    self._phase_completed("augment")
-                    if should_stop("augment"):
-                        return self.reports
-                else:
-                    assert self._outcomes is not None
-                    augmented = sum(len(entry[1]) for entry in self._outcomes["passes"])
-                # size of Y at iteration start: the in-memory corpus no
-                # longer reflects it after augmentation removed the passes
-                assert self._outcomes is not None
-                tested_count = (
-                    len(self.mono)
-                    + len(self._outcomes["passes"])
-                    + len(self._outcomes["quarantined"])
-                )
-                self._phase_report(tested_count, augmented)
-                stop_here = should_stop("report")
-                empty_pool = not self.mono
-                self.iteration += 1
-                self.completed_phase = None
-                self._outcomes = None
-                if empty_pool:
-                    self.finished = True
-                self._save_state()
-                if stop_here:
-                    return self.reports
-                if empty_pool:
-                    break
-            self.finished = True
-            self._save_state()
             return self.reports
         except BackendUnavailable:
             # state was persisted at the last phase boundary; the run can be
@@ -492,7 +416,6 @@ def run_ibt(
     judge_fn: JudgeFn | None = None,
     snapshot_dir: str | Path | None = None,
     max_workers: int = 1,
-    fine_tune_config: dict | None = None,
     stop_after: tuple[int, str] | None = None,
 ) -> list[IterationReport]:
     """Drive the full back-translation loop and return one report per
@@ -507,6 +430,5 @@ def run_ibt(
         judge_fn=judge_fn,
         snapshot_dir=snapshot_dir,
         max_workers=max_workers,
-        fine_tune_config=fine_tune_config,
     )
     return runner.run(stop_after=stop_after)

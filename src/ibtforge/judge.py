@@ -48,10 +48,6 @@ class JudgeVerdict:
     per_test: tuple[bool, ...] = ()
     wall_time_ms: tuple[float, ...] = ()
 
-    @property
-    def passed(self) -> bool:
-        return self.kind is VerdictKind.ALL_PASSED
-
 
 JudgeFn = Callable[[str, Sequence[TestCase]], JudgeVerdict]
 

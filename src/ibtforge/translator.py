@@ -21,7 +21,7 @@ from typing import Iterable, Protocol, Sequence
 
 import requests
 
-from .corpus import ParallelSample, MonoSample
+from .corpus import MonoSample, ParallelSample, atomic_open
 from .lexer import TokenKind, canonicalize, tokenize_line
 from .preprocess import Prefix, apply_prefix, strip_prefix
 
@@ -490,11 +490,11 @@ class TemplateBackend:
     # -- persistence -------------------------------------------------------
 
     def save_state(self, path: str | Path) -> None:
-        """Write one JSON record per template, in training order. Each line
-        is built around the encoded element lists, with its keys in sorted
-        order, so the bytes are those of ``json.dumps(record, sort_keys=True,
-        separators=(",", ":"))``."""
-        with Path(path).open("w", encoding="utf-8") as fh:
+        """Replace ``path`` whole with one JSON record per template, in
+        training order. Each line is built around the encoded element lists,
+        with its keys in sorted order, so the bytes are those of
+        ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
+        with atomic_open(path) as fh:
             for direction in DIRECTIONS:
                 head = '{"direction":' + _encode(direction) + ',"source":'
                 for template in sorted(self._tables[direction].values(), key=lambda t: t.seq):

@@ -2,7 +2,9 @@
 that match the recorded digests. translate-bound runs one thread over a large
 table; judge-bound is the only workload that judges on two threads, with
 annotator variants that back-translate to the same program, so it checks the
-verdict memo under threads against the benchmark's program labels."""
+verdict memo under threads against the benchmark's program labels. The
+traced resume run replaces ``ibtforge.ibt`` module functions by name and
+reads snapshots back, so it fails if the runner stops calling them."""
 
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ from conftest import requires_gcc
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _smoke_run(workload: str) -> dict:
+def _smoke_run(workload: str, trace: int = 0) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py",
             "--workload", workload, "--seed", "3",
-            "--seconds", "1", "--trace", "0", "--smoke",
+            "--seconds", "1", "--trace", str(trace), "--smoke",
         ],
         cwd=ROOT,
         capture_output=True,
@@ -42,3 +44,13 @@ def test_judge_bound_smoke_run_is_correct():
     result = _smoke_run("judge-bound")
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@requires_gcc
+def test_traced_resume_smoke_run_is_correct():
+    result = _smoke_run("resume", trace=1)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["ibt.snapshot.bytes_written"]["value"] > 0
+    assert metrics["corpus.load_s"]["value"] > 0

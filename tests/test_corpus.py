@@ -10,18 +10,15 @@ from ibtforge.corpus import (
     LengthMismatch,
     MonoSample,
     ParallelSample,
-    ProblemMeta,
     TestCase,
     discover_tests,
     ingest_mono,
     ingest_parallel,
     load_mono,
     load_parallel,
-    make_splits,
     move_to_parallel,
     save_mono,
     save_parallel,
-    simple_code_filter,
     validate_disjoint,
     write_manifest,
 )
@@ -156,19 +153,6 @@ class TestIngestMono:
         assert tests[0] == TestCase(input=b"x", expected_output=b"y")
 
 
-class TestSimpleCodeFilter:
-    def test_atcoder_ratio_boundary(self):
-        assert simple_code_filter(ProblemMeta("atcoder", difficulty=100, accepted_count=700))
-        assert not simple_code_filter(ProblemMeta("atcoder", difficulty=100, accepted_count=699))
-
-    def test_aizu_strictly_more(self):
-        assert not simple_code_filter(ProblemMeta("aizu", accepted_count=2500))
-        assert simple_code_filter(ProblemMeta("aizu", accepted_count=2501))
-
-    def test_zero_difficulty_not_simple(self):
-        assert not simple_code_filter(ProblemMeta("atcoder", difficulty=0, accepted_count=10))
-
-
 class TestMoveToParallel:
     def _mono(self):
         return MonoSample(
@@ -212,40 +196,6 @@ class TestMoveToParallel:
             validate_disjoint([clash], [mono])
 
 
-class TestSplits:
-    def _samples(self):
-        out = []
-        for problem in ("p1", "p2", "p3", "p4"):
-            for worker in (1, 2, 3):
-                out.append(
-                    ParallelSample(
-                        id=f"{problem}:s:{worker}",
-                        language="cpp",
-                        worker=worker,
-                        code_lines=["x = 1 ;"],
-                        pseudo_lines=["set x"],
-                        problem=problem,
-                    )
-                )
-        return out
-
-    def test_invariants_hold(self):
-        samples = self._samples()
-        splits = make_splits(samples, test_problems={"p1"}, test_workers={3}, seed=1)
-        by_id = {s.id: s for s in samples}
-        train = splits["train"].ids
-        assert all(by_id[i].problem != "p1" for i in train)
-        assert all(by_id[i].worker != 3 for i in train)
-        total = sum(len(s.ids) for s in splits.values())
-        assert total == len(samples)
-
-    def test_deterministic_under_seed(self):
-        samples = self._samples()
-        a = make_splits(samples, {"p1"}, {3}, seed=7)
-        b = make_splits(samples, {"p1"}, {3}, seed=7)
-        assert a == b
-
-
 class TestPersistence:
     def test_mono_round_trip_with_binary_tests(self, tmp_path):
         sample = MonoSample(
@@ -274,3 +224,22 @@ class TestPersistence:
         manifest = json.loads(write_manifest(tmp_path, [path]).read_text())
         assert manifest["files"]["d.jsonl"]["count"] == 1
         assert len(manifest["files"]["d.jsonl"]["sha256"]) == 64
+
+    def test_failed_save_leaves_the_previous_file(self, tmp_path):
+        def sample(n):
+            return ParallelSample(
+                id=f"a:{n}:1", language="cpp", worker=1, code_lines=["x = 1 ;"], pseudo_lines=["set"]
+            )
+
+        def two_samples_then_a_fault():
+            yield sample(2)
+            yield sample(3)
+            raise OSError("disk full")
+
+        path = tmp_path / "d.jsonl"
+        save_parallel([sample(1)], path)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            save_parallel(two_samples_then_a_fault(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from collections import Counter
 
@@ -10,9 +11,16 @@ import ibtforge.ibt as ibt_module
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc
 from ibtforge.assembler import assemble
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
-from ibtforge.ibt import IbtConfig, IbtRunner, IterationReport, run_ibt, select_top_workers
+from ibtforge.ibt import (
+    IbtConfig,
+    IbtError,
+    IbtRunner,
+    IterationReport,
+    run_ibt,
+    select_top_workers,
+)
 from ibtforge.judge import JudgeConfig, JudgeFailureError, JudgeVerdict, VerdictKind
-from ibtforge.metrics import cumulative_success
+from ibtforge.metrics import ConservationViolated, cumulative_success
 from ibtforge.preprocess import preprocess_sample
 from ibtforge.translator import BackendUnavailable, TemplateBackend
 
@@ -354,6 +362,42 @@ class TestResumability:
         assert {"corpus.D.0.jsonl", "corpus.Y.0.jsonl", "corpus.D.2.jsonl"} <= names
         assert {"state.json", "reports.json", "manifest.json"} <= names
         assert {"forward.table.jsonl", "backward.table.jsonl"} <= names
+
+    def test_clean_run_leaves_no_tmp_files(self, tmp_path):
+        self._run(tmp_path / "s")
+        assert list((tmp_path / "s").glob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "boundary, missing",
+        [
+            ((0, "finetune-backward"), "forward.table.jsonl"),
+            ((0, "finetune-backward"), "backward.table.jsonl"),
+            ((0, "evaluate"), "evaluation.0.json"),
+            ((0, "augment"), "evaluation.0.json"),
+        ],
+    )
+    def test_resume_refuses_a_missing_file(self, tmp_path, boundary, missing):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        (snap / missing).unlink()
+        with pytest.raises(IbtError, match=re.escape(missing)):
+            self._run(snap)
+
+    def test_resume_before_backward_fine_tune_needs_no_backward_table(self, tmp_path):
+        baseline = self._normalized(self._run(tmp_path / "clean"))
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(0, "finetune-forward"))
+        assert not (snap / "backward.table.jsonl").exists()
+        assert self._normalized(self._run(snap)) == baseline
+
+    def test_resume_checks_report_conservation(self, tmp_path):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(1, "evaluate"))
+        state = json.loads((snap / "state.json").read_text())
+        state["reports"][0]["passed_count"] += 1
+        (snap / "state.json").write_text(json.dumps(state))
+        with pytest.raises(ConservationViolated):
+            self._run(snap)
 
     def test_fine_tune_writes_only_the_trained_table(self, tmp_path):
         snap = tmp_path / "s"

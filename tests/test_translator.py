@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
+import ibtforge.translator as translator_module
 from ibtforge.lexer import canonicalize
 from ibtforge.preprocess import Prefix, apply_prefix
 from ibtforge.translator import (
@@ -580,6 +581,26 @@ class TestTableFile:
             backend.load_state(path)
             backend.save_state(path)
             assert path.read_bytes() == written
+
+
+    def test_failed_save_leaves_the_previous_file(self, trained_backend, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        trained_backend.save_state(path)
+        before = path.read_bytes()
+        encode = translator_module._encode
+        calls = []
+
+        def encode_then_fault(value):
+            calls.append(value)
+            if len(calls) > 4:  # after the first line and into the second
+                raise OSError("disk full")
+            return encode(value)
+
+        monkeypatch.setattr(translator_module, "_encode", encode_then_fault)
+        with pytest.raises(OSError, match="disk full"):
+            trained_backend.save_state(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
 
 class TestExpandWorkers:
