@@ -33,10 +33,10 @@ from .corpus import (
     save_parallel,
     write_manifest,
 )
-from .ibt import IbtConfig, IterationReport, run_ibt
+from .ibt import IbtConfig, IbtError, IterationReport, run_ibt
 from .judge import JudgeConfig, JudgeFailureError, judge_program
 from .lexer import tokenize_line
-from .metrics import EvalReport, corpus_bleu, exact_match
+from .metrics import ConservationViolated, EvalReport, corpus_bleu, exact_match
 from .preprocess import Prefix, apply_prefix, preprocess_sample
 from .translator import (
     BACKWARD,
@@ -47,6 +47,7 @@ from .translator import (
     TemplateBackend,
     TrainingRejected,
     TranslationRequest,
+    TranslatorError,
 )
 
 log = logging.getLogger(__name__)
@@ -436,6 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendUnavailable, BackendProtocolError, JudgeFailureError) as exc:
         print(f"infrastructure failure: {exc}", file=sys.stderr)
         return EXIT_INFRA
+    except (IbtError, ConservationViolated, TranslatorError) as exc:
+        # a snapshot or table that cannot be resumed or read
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ class MalformedRow(CorpusError):
     pass
 
 
-class MisorderedLines(CorpusError):
-    pass
-
-
 class LengthMismatch(CorpusError):
     pass
 

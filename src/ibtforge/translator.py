@@ -15,6 +15,7 @@ import logging
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -48,6 +49,10 @@ class BackendProtocolError(TranslatorError):
 
 class TrainingRejected(TranslatorError):
     pass
+
+
+class MalformedTable(TranslatorError):
+    """A table file that ``load_state`` read does not parse."""
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +218,9 @@ class _Template:
         return sum(1 for e in self.source if e[0] == "lit")
 
 
-def _abstract_pair(code_line: str, pseudo_line: str, source_is_code: bool) -> _Template:
-    """Abstract an aligned pair into a slot template.
+def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
+    """Abstract an aligned pair into the (code, pseudocode) elements of a
+    slot template; the backward template is the same pair swapped.
 
     Slot spans are the maximal identifier/number runs of the code side (its
     punctuation segments them naturally); a run that also occurs on the
@@ -237,16 +243,8 @@ def _abstract_pair(code_line: str, pseudo_line: str, source_is_code: bool) -> _T
             slot_of[value] = idx
             slot_class[idx] = _run_class([c for _, c in code[start:end]])
 
-    def emit(code_elems: list[Elem], pseudo_elems: list[Elem]) -> _Template:
-        if source_is_code:
-            return _Template(source=code_elems, target=pseudo_elems, seq=0)
-        return _Template(source=pseudo_elems, target=code_elems, seq=0)
-
-    def verbatim() -> _Template:
-        return emit(
-            [("lit", t) for t in code_texts],
-            [("lit", t) for t in pseudo_texts],
-        )
+    def verbatim() -> _Shape:
+        return tuple(("lit", t) for t in code_texts), tuple(("lit", t) for t in pseudo_texts)
 
     if not slot_of:
         return verbatim()
@@ -288,7 +286,59 @@ def _abstract_pair(code_line: str, pseudo_line: str, source_is_code: bool) -> _T
 
     if code_counts != pseudo_counts:
         return verbatim()
-    return emit(code_elems, pseudo_elems)
+    return tuple(code_elems), tuple(pseudo_elems)
+
+
+class _AbstractionMemo:
+    """(code line, pseudocode line) -> the unprefixed (code, pseudocode)
+    shape and its (pseudocode, code) twin: the forward and the backward
+    (source, target). Pairs that abstract alike share interned shapes."""
+
+    __slots__ = ("pairs", "shapes", "__weakref__")
+
+    def __init__(self) -> None:
+        self.pairs: dict[tuple[str, str], tuple[_Shape, _Shape]] = {}
+        self.shapes: dict[_Shape, _Shape] = {}
+
+
+# every TemplateBackend alive holds the one memo this refers to, so both
+# directions of a run abstract each pair once; the memo goes with the last
+# backend that holds it, and the next run starts cold
+_live_memo: weakref.ref[_AbstractionMemo] | None = None
+_live_memo_lock = threading.Lock()
+
+
+def _shared_memo() -> _AbstractionMemo:
+    global _live_memo
+    with _live_memo_lock:
+        memo = _live_memo() if _live_memo is not None else None
+        if memo is None:
+            memo = _AbstractionMemo()
+            _live_memo = weakref.ref(memo)
+        return memo
+
+
+def _parse_table(name: str, text: str) -> tuple[dict[str, dict[str, _Template]], int]:
+    """The per-direction tables of a table file's text, and the next seq."""
+    tables: dict[str, dict[str, _Template]] = {FORWARD: {}, BACKWARD: {}}
+    seq = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            template = _Template(
+                source=[tuple(e) for e in rec["source"]],
+                target=[tuple(e) for e in rec["target"]],
+                seq=seq,
+            )
+            tables[rec["direction"]][template.key] = template
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            message = f"{name}: malformed table record on line {lineno}: {exc!r}"
+            raise MalformedTable(message) from exc
+        seq += 1
+    return tables, seq
 
 
 class _Node:
@@ -396,17 +446,19 @@ class TemplateBackend:
 
     ``translate`` matches each line against a trie of the table's source
     sides, built on first use after the table last changed.
+
+    ``load_state`` reads the file's text; it is parsed on the first
+    ``translate``, ``fine_tune``, ``save_state`` or ``table_size``.
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, dict[str, _Template]] = {FORWARD: {}, BACKWARD: {}}
         self._seq = 0
-        # (direction, code line, pseudocode line) -> unprefixed (source,
-        # target); pairs that abstract alike share one interned shape
-        self._abstractions: dict[tuple[str, str, str], _Shape] = {}
-        self._shapes: dict[_Shape, _Shape] = {}
+        self._memo = _shared_memo()
+        # (path, text) of a table loaded but not yet parsed
+        self._unparsed: tuple[str, str] | None = None
         self._tries: dict[str, _Node] = {}
-        self._trie_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     # -- training ----------------------------------------------------------
 
@@ -420,6 +472,7 @@ class TemplateBackend:
         config = dict(config or {})
         worker_prefix = bool(config.get("worker_prefix", False))
         pl_prefix = bool(config.get("pl_prefix", False))
+        self._parse()
         self._tries = {}
         if not config.get("warm_start", True):
             self._tables[direction] = {}
@@ -443,26 +496,40 @@ class TemplateBackend:
         return TrainingHandle(f"baseline-{self._seq}")
 
     def _abstract(self, direction: str, code_line: str, pseudo_line: str) -> _Shape:
-        key = (direction, code_line, pseudo_line)
-        shape = self._abstractions.get(key)
-        if shape is None:
-            template = _abstract_pair(code_line, pseudo_line, source_is_code=direction == FORWARD)
-            shape = (tuple(template.source), tuple(template.target))
-            shape = self._abstractions[key] = self._shapes.setdefault(shape, shape)
-        return shape
+        memo = self._memo
+        key = (code_line, pseudo_line)
+        shapes = memo.pairs.get(key)
+        if shapes is None:
+            shape = _abstract_pair(code_line, pseudo_line)
+            twin = (shape[1], shape[0])
+            intern = memo.shapes.setdefault
+            shapes = memo.pairs[key] = (intern(shape, shape), intern(twin, twin))
+        return shapes[direction == BACKWARD]
+
+    def _parse(self) -> None:
+        """Parse the table ``load_state`` read, once, however many threads
+        ask at the same time."""
+        if self._unparsed is None:
+            return
+        with self._lock:
+            if self._unparsed is not None:
+                self._tables, self._seq = _parse_table(*self._unparsed)
+                self._tries = {}
+                self._unparsed = None
 
     # -- inference ---------------------------------------------------------
 
     def _trie(self, direction: str) -> _Node:
         trie = self._tries.get(direction)
         if trie is None:
-            with self._trie_lock:
+            with self._lock:
                 trie = self._tries.get(direction)
                 if trie is None:
                     trie = self._tries[direction] = _build_trie(self._tables[direction].values())
         return trie
 
     def translate(self, req: TranslationRequest) -> list[LineBeam]:
+        self._parse()
         trie = self._trie(req.direction)
         beams = []
         for line in req.lines:
@@ -494,6 +561,7 @@ class TemplateBackend:
         training order. Each line is built around the encoded element lists,
         with its keys in sorted order, so the bytes are those of
         ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
+        self._parse()
         with atomic_open(path) as fh:
             for direction in DIRECTIONS:
                 head = '{"direction":' + _encode(direction) + ',"source":'
@@ -503,24 +571,13 @@ class TemplateBackend:
                     )
 
     def load_state(self, path: str | Path) -> None:
-        self._tables = {FORWARD: {}, BACKWARD: {}}
-        self._tries = {}
-        self._seq = 0
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                template = _Template(
-                    source=[tuple(e) for e in rec["source"]],
-                    target=[tuple(e) for e in rec["target"]],
-                    seq=self._seq,
-                )
-                self._seq += 1
-                self._tables[rec["direction"]][template.key] = template
+        """Replace the tables with those of ``path``. The file is read now
+        and parsed on first use; a malformed one raises ``MalformedTable``
+        naming it then."""
+        self._unparsed = (str(path), Path(path).read_text(encoding="utf-8"))
 
     def table_size(self, direction: str) -> int:
+        self._parse()
         return len(self._tables[direction])
 
 
@@ -669,6 +726,9 @@ def expand_workers(
             beams = forward.translate(
                 TranslationRequest(direction=FORWARD, lines=lines, beam_size=1)
             )
+        except MalformedTable:
+            # no variant can succeed; a dropped one would read as a failed program
+            raise
         except TranslatorError as exc:
             log.warning("expand_workers: %s variant for worker %s dropped: %s", sample.id, worker, exc)
             continue

@@ -208,6 +208,23 @@ class TestRunIbtCommand:
 
         assert strip(out1) == strip(out2)
 
+    def test_snapshot_of_another_config_is_user_error(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        assert main(["run-ibt", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run-ibt", "--config", cfg, "--iterations", "3"]) == EXIT_USER
+        err = capsys.readouterr().err
+        assert err == "error: snapshot was produced under a different configuration\n"
+
+    def test_deleted_table_is_user_error(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        assert main(["run-ibt", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        (tmp_path / "snapshots" / "backward.table.jsonl").unlink()
+        assert main(["run-ibt", "--config", cfg]) == EXIT_USER
+        err = capsys.readouterr().err
+        assert err == "error: cannot resume: snapshot file backward.table.jsonl is missing\n"
+
 
 @requires_gcc
 class TestEvalCommand:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 import threading
@@ -8,6 +9,7 @@ from collections import Counter
 import pytest
 
 import ibtforge.ibt as ibt_module
+import ibtforge.translator as translator_module
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc
 from ibtforge.assembler import assemble
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
@@ -22,7 +24,7 @@ from ibtforge.ibt import (
 from ibtforge.judge import JudgeConfig, JudgeFailureError, JudgeVerdict, VerdictKind
 from ibtforge.metrics import ConservationViolated, cumulative_success
 from ibtforge.preprocess import preprocess_sample
-from ibtforge.translator import BackendUnavailable, TemplateBackend
+from ibtforge.translator import BackendUnavailable, TemplateBackend, TranslatorError
 
 CFG = IbtConfig(iterations=2, beam=4, budget=10, workers_top_k=2, pl_prefix_from_iteration=1)
 
@@ -447,6 +449,39 @@ class TestResumability:
         clean = self._run(tmp_path / "clean")
         assert self._normalized(resumed) == self._normalized(clean)
 
+    @pytest.mark.parametrize(
+        "boundary, parsed", [(None, 0), ((1, "evaluate"), 0), ((0, "evaluate"), 2)]
+    )
+    def test_resume_parses_only_the_tables_it_uses(self, tmp_path, monkeypatch, boundary, parsed):
+        """A finished run, or one stopped after its last evaluation, is
+        recovered without parsing a table; one stopped earlier parses both
+        when it fine-tunes."""
+        baseline = self._normalized(self._run(tmp_path / "clean"))
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        names = []
+        parse = translator_module._parse_table
+
+        def counting(name, text):
+            names.append(name)
+            return parse(name, text)
+
+        monkeypatch.setattr(translator_module, "_parse_table", counting)
+        assert self._normalized(self._run(snap)) == baseline
+        assert len(names) == parsed
+
+    def test_malformed_forward_table_stops_the_evaluation(self, tmp_path):
+        """The forward table is first parsed inside worker expansion, which
+        drops a variant whose translation fails; a malformed table must stop
+        the run instead of failing every program."""
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(0, "finetune-backward"))
+        table = snap / "forward.table.jsonl"
+        table.write_text(table.read_text()[:-2] + "\n")
+        with pytest.raises(TranslatorError, match=re.escape(f"{table}: malformed table record")):
+            self._run(snap)
+        assert not (snap / "evaluation.0.json").exists()
+
     def test_config_mismatch_on_resume_rejected(self, tmp_path):
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "evaluate"))
@@ -460,3 +495,45 @@ class TestResumability:
                 judge_fn=c_only_judge,
                 snapshot_dir=snap,
             )
+
+
+class TestSharedAbstraction:
+    def test_each_pair_abstracted_once_per_run(self, monkeypatch):
+        """Both directions of a run share one abstraction per distinct pair;
+        a run built after the first is gone abstracts afresh."""
+        # a memo that no backend of another test holds
+        monkeypatch.setattr(translator_module, "_live_memo", None)
+        calls = Counter()
+        abstract = translator_module._abstract_pair
+
+        def counting(code_line, pseudo_line):
+            calls[(code_line, pseudo_line)] += 1
+            return abstract(code_line, pseudo_line)
+
+        monkeypatch.setattr(translator_module, "_abstract_pair", counting)
+
+        def run() -> set:
+            runner = IbtRunner(
+                build_seed_parallel(),
+                build_mono_corpus(),
+                TemplateBackend(),
+                TemplateBackend(),
+                CFG,
+                judge_fn=c_only_judge,
+            )
+            runner.run()
+            # the pairs of the last iteration's augmentation are never trained on
+            return {
+                pair
+                for s in runner.parallel
+                if s.origin != "ibt-augmented" or s.iteration + 1 < CFG.iterations
+                for pair in zip(s.code_lines, s.pseudo_lines)
+            }
+
+        trained = run()
+        assert set(calls) == trained and set(calls.values()) == {1}
+        gc.collect()
+        assert translator_module._live_memo() is None
+        calls.clear()
+        assert run() == trained
+        assert set(calls) == trained and set(calls.values()) == {1}

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
 import json
+import re
 import sys
 import tempfile
 import threading
 import time
+import weakref
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -26,6 +30,8 @@ from ibtforge.translator import (
     TemplateBackend,
     TrainingRejected,
     TranslationRequest,
+    TranslatorError,
+    _Template,
     _abstract_pair,
     _lex,
     _render,
@@ -278,12 +284,12 @@ class FreshAbstractionBackend(TemplateBackend):
                 if direction == FORWARD:
                     if prefix and code_line:
                         code_line = apply_prefix(prefix, code_line)
-                    template = _abstract_pair(code_line, pseudo_line, source_is_code=True)
+                    source, target = _abstract_pair(code_line, pseudo_line)
                 else:
                     if prefix and pseudo_line:
                         pseudo_line = apply_prefix(prefix, pseudo_line)
-                    template = _abstract_pair(code_line, pseudo_line, source_is_code=False)
-                template.seq = self._seq
+                    target, source = _abstract_pair(code_line, pseudo_line)
+                template = _Template(source=source, target=target, seq=self._seq)
                 self._seq += 1
                 table[template.key] = template
 
@@ -507,6 +513,198 @@ class TestAbstractionMemo:
                 fresh.fine_tune([sample], direction, config)
         assert _saved_records(memoised)[1] == _saved_records(fresh)[1]
 
+    @settings(max_examples=80, deadline=None)
+    @given(calls=fine_tune_calls, warm_up=fine_tune_calls)
+    def test_separate_shared_and_warm_backends_save_the_same_bytes(self, calls, warm_up):
+        """Two backends, one per direction; one backend for both; and two
+        backends whose memo other pairs, these pairs and the other direction
+        have warmed: all save what abstraction afresh saves."""
+        fresh = FreshAbstractionBackend()
+        for dataset, direction, config in calls:
+            fresh.fine_tune(dataset, direction, config)
+        expected = _saved_records(fresh)[1]
+
+        def separate():
+            pair = {FORWARD: TemplateBackend(), BACKWARD: TemplateBackend()}
+            for dataset, direction, config in calls:
+                pair[direction].fine_tune(dataset, direction, config)
+            return _saved_records(pair[FORWARD])[1] + _saved_records(pair[BACKWARD])[1]
+
+        assert separate() == expected
+        shared = TemplateBackend()
+        for dataset, direction, config in calls:
+            shared.fine_tune(dataset, direction, config)
+        assert _saved_records(shared)[1] == expected
+        warmer = TemplateBackend()
+        for dataset, direction, config in warm_up + calls:
+            other = BACKWARD if direction == FORWARD else FORWARD
+            warmer.fine_tune(dataset, other, config)
+        assert warmer._memo is shared._memo and warmer._memo.pairs
+        assert separate() == expected
+
+
+class TestSharedMemoLifetime:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Each pair handed to ``_abstract_pair``, counted, with a memo that
+        no backend of another test holds."""
+        monkeypatch.setattr(translator_module, "_live_memo", None)
+        calls = Counter()
+        abstract = translator_module._abstract_pair
+
+        def counting(code_line, pseudo_line):
+            calls[(code_line, pseudo_line)] += 1
+            return abstract(code_line, pseudo_line)
+
+        monkeypatch.setattr(translator_module, "_abstract_pair", counting)
+        return calls
+
+    def test_both_directions_abstract_each_pair_once(self, counted):
+        samples = [
+            make_pair_sample("s:1:1", 1, ["x = 1 ;", "cout << x ;"], ["set x to 1", "print x"]),
+            make_pair_sample(
+                "s:2:2", 2, ["x = 1 ;", "", "y = 2 ;"], ["set x to 1", "", "set y to 2"]
+            ),
+        ]
+        forward, backward = TemplateBackend(), TemplateBackend()
+        for config in ({}, {"worker_prefix": True, "pl_prefix": True}):
+            forward.fine_tune(samples, FORWARD, config)
+            backward.fine_tune(samples, BACKWARD, config)
+        assert counted == {
+            ("x = 1 ;", "set x to 1"): 1,
+            ("cout << x ;", "print x"): 1,
+            ("", ""): 1,
+            ("y = 2 ;", "set y to 2"): 1,
+        }
+
+    def test_memo_goes_with_the_last_backend(self, counted):
+        sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
+        first = TemplateBackend()
+        memo = weakref.ref(first._memo)
+        first.fine_tune([sample], FORWARD, {})
+        second = TemplateBackend()
+        del first
+        gc.collect()
+        second.fine_tune([sample], BACKWARD, {})
+        assert counted[("x = 1 ;", "set x to 1")] == 1
+        del second
+        gc.collect()
+        assert memo() is None
+        TemplateBackend().fine_tune([sample], FORWARD, {})
+        assert counted[("x = 1 ;", "set x to 1")] == 2
+
+
+class TestDeferredParse:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The name of each table file parsed."""
+        names = []
+        parse = translator_module._parse_table
+
+        def counting(name, text):
+            names.append(name)
+            return parse(name, text)
+
+        monkeypatch.setattr(translator_module, "_parse_table", counting)
+        return names
+
+    def test_loaded_bytes_outlive_the_file(self, trained_backend, tmp_path, parses):
+        path = tmp_path / "t.jsonl"
+        trained_backend.save_state(path)
+        restored = TemplateBackend()
+        restored.load_state(path)
+        TemplateBackend().save_state(path)
+        req = TranslationRequest(BACKWARD, ("set y to 3", "print y"), 3)
+        assert parses == []
+        assert restored.translate(req) == trained_backend.translate(req)
+        assert parses == [str(path)]
+
+    def test_table_size_reports_the_loaded_count(self, trained_backend, tmp_path, parses):
+        path = tmp_path / "t.jsonl"
+        trained_backend.save_state(path)
+        restored = TemplateBackend()
+        restored.load_state(path)
+        for direction in (FORWARD, BACKWARD):
+            assert restored.table_size(direction) == trained_backend.table_size(direction) == 3
+        assert len(parses) == 1
+
+    def test_fine_tune_after_load_continues_the_table(self, trained_backend, tmp_path):
+        path = tmp_path / "t.jsonl"
+        trained_backend.save_state(path)
+        restored = TemplateBackend()
+        restored.load_state(path)
+        sample = make_pair_sample("s:2:1", 1, ["y = 2 ;"], ["let y be 2"])
+        for backend in (trained_backend, restored):
+            backend.fine_tune([sample], FORWARD, {"worker_prefix": True})
+        assert _saved_records(restored)[1] == _saved_records(trained_backend)[1]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "not json",
+            '{"direction":"forward","source":[["lit","x"]]}',
+            '{"direction":"sideways","source":[],"target":[]}',
+            '{"direction":"forward","source":[["slot",0]],"target":[]}',
+            '["forward"]',
+        ],
+    )
+    def test_malformed_table_is_refused_at_first_use(self, trained_backend, tmp_path, line):
+        path = tmp_path / "bad.table.jsonl"
+        trained_backend.save_state(path)
+        path.write_text(path.read_text() + line + "\n")
+        backend = TemplateBackend()
+        backend.load_state(path)
+        req = TranslationRequest(FORWARD, ("x = 1 ;",), 1)
+        refused = re.escape(f"{path}: malformed table record on line 7")
+        for use in (
+            lambda: backend.translate(req),
+            lambda: backend.table_size(FORWARD),
+            lambda: backend.save_state(tmp_path / "out.jsonl"),
+            lambda: backend.fine_tune(
+                [make_pair_sample("s:2:1", 1, ["y = 2 ;"], ["set y to 2"])], FORWARD, {}
+            ),
+        ):
+            with pytest.raises(TranslatorError, match=refused):
+                use()
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_missing_table_is_refused_at_load(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            TemplateBackend().load_state(tmp_path / "nope.jsonl")
+
+    def test_concurrent_translates_parse_once(self, trained_backend, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        trained_backend.save_state(path)
+        parse = translator_module._parse_table
+        parses = []
+
+        def slow_parse(name, text):
+            parses.append(threading.get_ident())
+            time.sleep(0.05)
+            return parse(name, text)
+
+        monkeypatch.setattr(translator_module, "_parse_table", slow_parse)
+        backend = TemplateBackend()
+        backend.load_state(path)
+        req = TranslationRequest(FORWARD, ("x = 7 ;", "cout << y ;", "return 0 ;"), 3)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(backend.translate(req)))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parses) == 1
+        assert len(results) == 6 and all(r == trained_backend.translate(req) for r in results)
+
 
 def _to_record(template, direction):
     return {
@@ -519,6 +717,7 @@ def _to_record(template, direction):
 def json_dumps_table(backend):
     """The table file as ``json.dumps`` of one record dict per template: the
     reference for ``save_state``'s bytes."""
+    backend.table_size(FORWARD)  # parses a table loaded but not yet used
     return "".join(
         json.dumps(_to_record(template, direction), sort_keys=True, separators=(",", ":")) + "\n"
         for direction in (FORWARD, BACKWARD)
