@@ -1,16 +1,14 @@
 """Assemble per-line translation beams into a complete program under an
 execution budget.
 
-The default strategy follows the repair loop used for line-level program
-synthesis: judge the all-top-1 program, and while it fails to compile,
-advance the beam index of the earliest line implicated by the compiler
-diagnostics and re-judge. A score-ordered best-first search over index
-combinations is available behind a flag.
+The search follows the repair loop used for line-level program synthesis:
+judge the all-top-1 program, and while it fails to compile, advance the beam
+index of the earliest line implicated by the compiler diagnostics and
+re-judge.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,9 +17,6 @@ from .corpus import TestCase
 from .judge import JudgeFn, JudgeVerdict, VerdictKind
 from .lexer import unpad_literals
 from .translator import LineBeam
-
-GREEDY_REPAIR = "greedy-repair"
-BEST_FIRST = "best-first"
 
 # Recognized compiler diagnostic shapes: file:line:column: and file:line:
 _DIAGNOSTIC_PATTERNS = (
@@ -84,15 +79,13 @@ def assemble(
     tests: Sequence[TestCase],
     budget: int,
     judge: JudgeFn,
-    strategy: str = GREEDY_REPAIR,
 ) -> AssemblyResult:
     """Search the beam combinations for a program passing all tests within
     ``budget`` compile-and-run attempts.
 
     One execution is one judge call (a compile plus, if it succeeds, runs
-    over all test cases). Test failures terminate the default greedy search
-    because only compiler diagnostics name a line to repair; the best-first
-    strategy keeps exploring by summed candidate score instead.
+    over all test cases). Test failures end the search, because only
+    compiler diagnostics name a line to repair.
     """
     if not beams:
         raise ValueError("assemble needs at least one line beam")
@@ -100,31 +93,6 @@ def assemble(
         raise ValueError("budget must be >= 1")
     if not tests:
         raise ValueError("assemble needs at least one test case")
-    if strategy == GREEDY_REPAIR:
-        return _assemble_greedy(beams, tests, budget, judge)
-    if strategy == BEST_FIRST:
-        return _assemble_best_first(beams, tests, budget, judge)
-    raise ValueError(f"unknown assembly strategy {strategy!r}")
-
-
-def _result(
-    beams: Sequence[LineBeam], choice: Sequence[int], verdict: JudgeVerdict, executions: int
-) -> AssemblyResult:
-    return AssemblyResult(
-        success=verdict.kind is VerdictKind.ALL_PASSED,
-        program=_canonical_program(beams, choice),
-        verdict=verdict,
-        executions_used=executions,
-        chosen_indices=tuple(choice),
-    )
-
-
-def _assemble_greedy(
-    beams: Sequence[LineBeam],
-    tests: Sequence[TestCase],
-    budget: int,
-    judge: JudgeFn,
-) -> AssemblyResult:
     choice = [0] * len(beams)
     unpadded: dict[tuple[int, int], str] = {}
     verdict = judge(_compile_source(beams, choice, unpadded), tests)
@@ -143,33 +111,10 @@ def _assemble_greedy(
             break
         verdict = judge(_compile_source(beams, choice, unpadded), tests)
         executions += 1
-    return _result(beams, choice, verdict, executions)
-
-
-def _assemble_best_first(
-    beams: Sequence[LineBeam],
-    tests: Sequence[TestCase],
-    budget: int,
-    judge: JudgeFn,
-) -> AssemblyResult:
-    def total_score(choice: tuple[int, ...]) -> float:
-        return sum(beams[i].candidates[c].score for i, c in enumerate(choice))
-
-    start = tuple([0] * len(beams))
-    frontier = [(-total_score(start), start)]
-    seen = {start}
-    unpadded: dict[tuple[int, int], str] = {}
-    executions = 0
-    while frontier and executions < budget:
-        _, choice = heapq.heappop(frontier)
-        verdict = judge(_compile_source(beams, choice, unpadded), tests)
-        executions += 1
-        if verdict.kind is VerdictKind.ALL_PASSED:
-            break
-        for i in range(len(beams)):
-            if choice[i] + 1 < len(beams[i].candidates):
-                neighbor = choice[:i] + (choice[i] + 1,) + choice[i + 1 :]
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    heapq.heappush(frontier, (-total_score(neighbor), neighbor))
-    return _result(beams, choice, verdict, executions)
+    return AssemblyResult(
+        success=verdict.kind is VerdictKind.ALL_PASSED,
+        program=_canonical_program(beams, choice),
+        verdict=verdict,
+        executions_used=executions,
+        chosen_indices=tuple(choice),
+    )

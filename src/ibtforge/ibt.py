@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,14 @@ from .corpus import (
     validate_disjoint,
     write_manifest,
 )
-from .judge import JudgeConfig, JudgeFailureError, JudgeFn, judge_program, memoize_verdicts
+from .judge import (
+    JUDGE_THREADS,
+    JudgeConfig,
+    JudgeFailureError,
+    JudgeFn,
+    judge_program,
+    memoize_verdicts,
+)
 from .metrics import cumulative_success
 from .preprocess import Prefix, apply_prefix, preprocess_sample
 from .translator import (
@@ -270,35 +278,45 @@ class IbtRunner:
         backend.fine_tune(self.parallel, direction, config).wait()
         self._save_backend(direction)
 
-    def _evaluate_sample(self, sample: MonoSample, workers: list[int]) -> tuple[str, object]:
+    def _evaluate_sample(
+        self, sample: MonoSample, workers: list[int], translating: threading.Semaphore
+    ) -> tuple[str, object]:
+        """Translate the sample's variants while holding ``translating``,
+        then assemble and judge each of them without it."""
         language_tag = sample.language if self._pl_on() else None
-        try:
-            variants = expand_workers(sample, workers, self.forward, language_tag)
-            if not variants:
-                return ("quarantine", "all forward variants failed")
-            passing: list[tuple[int, list[str]]] = []
-            for worker, pseudo_lines in variants:
-                prefix = Prefix(language=language_tag)
+        prefix = Prefix(language=language_tag)
+        translated: list[tuple[int, list[str], list]] = []
+        with translating:
+            for worker, pseudo_lines in expand_workers(sample, workers, self.forward, language_tag):
                 lines = tuple(
                     apply_prefix(prefix, p) if (prefix and p) else p for p in pseudo_lines
                 )
                 beams = self.backward.translate(
                     TranslationRequest(direction=BACKWARD, lines=lines, beam_size=self.cfg.beam)
                 )
-                result = assemble(beams, sample.tests, self.cfg.budget, self.judge_fn)
-                if result.success:
-                    passing.append((worker, pseudo_lines))
-            return ("pass", passing) if passing else ("fail", [])
+                translated.append((worker, pseudo_lines, beams))
+        if not translated:
+            return ("quarantine", "all forward variants failed")
+        try:
+            passing = [
+                (worker, pseudo_lines)
+                for worker, pseudo_lines, beams in translated
+                if assemble(beams, sample.tests, self.cfg.budget, self.judge_fn).success
+            ]
         except JudgeFailureError as exc:
             return ("quarantine", str(exc))
+        return ("pass", passing) if passing else ("fail", [])
 
     def _phase_evaluate(self) -> None:
+        """Evaluate the samples on a pool sized for the judge. At most
+        ``max_workers`` of them translate at once, so one sample's compiles
+        overlap the next one's translation; results keep the sample order."""
         workers = select_top_workers(self.parallel, self.cfg.workers_top_k)
-        if self.max_workers > 1 and len(self.mono) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                results = list(pool.map(lambda y: self._evaluate_sample(y, workers), self.mono))
-        else:
-            results = [self._evaluate_sample(y, workers) for y in self.mono]
+        translating = threading.BoundedSemaphore(self.max_workers)
+        with ThreadPoolExecutor(max_workers=max(self.max_workers, JUDGE_THREADS)) as pool:
+            results = list(
+                pool.map(lambda y: self._evaluate_sample(y, workers, translating), self.mono)
+            )
         passes: list[list] = []
         quarantined: list[list] = []
         for sample, (status, payload) in zip(self.mono, results):

@@ -17,6 +17,7 @@ import tempfile
 import threading
 import time
 import uuid
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -56,23 +57,34 @@ def memoize_verdicts(judge: JudgeFn) -> JudgeFn:
     """Wrap ``judge`` so that each distinct (source, tests) reaches it once
     over the wrapper's lifetime; repeat calls return the stored verdict.
 
-    Every verdict is stored, ``TimeLimit`` included. ``JudgeFailureError``
-    propagates and is never stored, so a repeat call reaches the judge again.
-    The judge's configuration is fixed for one wrapper, so it is not part of
-    the key. Two threads missing on the same key may both judge it; the
-    caller counts each call as one execution either way.
+    Every verdict is stored, ``TimeLimit`` included. The judge's
+    configuration is fixed for one wrapper, so it is not part of the key.
+    A key already being judged on another thread is waited for, not judged
+    again. An exception (``JudgeFailureError``) reaches the caller and the
+    callers waiting at that moment, and is not stored, so a later call
+    reaches the judge again. The caller counts each call as one execution
+    either way.
     """
-    verdicts: dict[tuple[str, tuple[TestCase, ...]], JudgeVerdict] = {}
+    verdicts: dict[tuple[str, tuple[TestCase, ...]], Future] = {}
     lock = threading.Lock()
 
     def memoized(source: str, tests: Sequence[TestCase]) -> JudgeVerdict:
         key = (source, tuple(tests))
         with lock:
-            verdict = verdicts.get(key)
-        if verdict is None:
+            future = verdicts.get(key)
+            owner = future is None
+            if owner:
+                future = verdicts[key] = Future()
+        if not owner:
+            return future.result()
+        try:
             verdict = judge(source, tests)
+        except BaseException as exc:
             with lock:
-                verdicts[key] = verdict
+                del verdicts[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(verdict)
         return verdict
 
     return memoized
@@ -111,8 +123,10 @@ class JudgeConfig:
         return [arg.format(src=src, bin=bin_path) for arg in template]
 
 
-# Bound on concurrently running compiler processes.
-_compile_semaphore = threading.BoundedSemaphore(os.cpu_count() or 1)
+# Bound on concurrently running compiler processes; the runner's evaluation
+# pool has at least this many threads.
+JUDGE_THREADS = os.cpu_count() or 1
+_compile_semaphore = threading.BoundedSemaphore(JUDGE_THREADS)
 
 
 def normalize_output(data: bytes, rule: str = "strip-trailing") -> bytes:

@@ -715,7 +715,9 @@ def expand_workers(
 ) -> list[tuple[int, list[str]]]:
     """Generate one top-1 pseudocode variant of a monolingual sample per
     worker id, conditioning the forward model with worker (and optionally
-    language) prefixes. A variant that fails outright is dropped."""
+    language) prefixes. A variant whose translation fails is dropped; an
+    unreachable backend or a malformed table fails every variant, so it is
+    raised instead."""
     if not workers:
         raise ValueError("expand_workers needs at least one worker id")
     variants: list[tuple[int, list[str]]] = []
@@ -726,8 +728,8 @@ def expand_workers(
             beams = forward.translate(
                 TranslationRequest(direction=FORWARD, lines=lines, beam_size=1)
             )
-        except MalformedTable:
-            # no variant can succeed; a dropped one would read as a failed program
+        except (BackendUnavailable, MalformedTable):
+            # a dropped variant would read as a failed program
             raise
         except TranslatorError as exc:
             log.warning("expand_workers: %s variant for worker %s dropped: %s", sample.id, worker, exc)

@@ -11,8 +11,6 @@ import pytest
 import ibtforge.assembler as assembler_module
 from conftest import requires_gcc
 from ibtforge.assembler import (
-    BEST_FIRST,
-    GREEDY_REPAIR,
     AssemblyResult,
     assemble,
     error_lines,
@@ -177,39 +175,6 @@ class TestOracleEquivalence:
         assert first == second
 
 
-class TestBestFirst:
-    def test_explores_past_test_failures(self):
-        def judge(source, tests):
-            choice = parse_choice(source)
-            if choice == [1, 1]:
-                return JudgeVerdict(kind=VerdictKind.ALL_PASSED, per_test=(True,))
-            return JudgeVerdict(kind=VerdictKind.WRONG_ANSWER, failed_test=0)
-
-        result = assemble(make_beams([2, 2]), TESTS, budget=10, judge=judge, strategy=BEST_FIRST)
-        assert result.success
-        assert result.chosen_indices == (1, 1)
-
-    def test_visits_in_score_order(self):
-        seen = []
-
-        def judge(source, tests):
-            seen.append(tuple(parse_choice(source)))
-            return JudgeVerdict(kind=VerdictKind.WRONG_ANSWER, failed_test=0)
-
-        assemble(make_beams([2, 2]), TESTS, budget=4, judge=judge, strategy=BEST_FIRST)
-        scores = [-(a + b) for a, b in seen]
-        assert scores == sorted(scores, reverse=True)
-        assert len(seen) == len(set(seen)) == 4
-
-    def test_budget_soundness(self):
-        def judge(source, tests):
-            return JudgeVerdict(kind=VerdictKind.WRONG_ANSWER, failed_test=0)
-
-        result = assemble(make_beams([3, 3, 3]), TESTS, budget=5, judge=judge, strategy=BEST_FIRST)
-        assert result.executions_used == 5
-        assert not result.success
-
-
 def make_literal_beams(widths):
     """Beams whose candidates print a padded string literal, so unpadding
     changes every line; the literal encodes (line, candidate)."""
@@ -244,8 +209,7 @@ def _unpad_every_call(beams, choice, unpadded):
 
 
 class TestCompileSource:
-    @pytest.mark.parametrize("strategy", [GREEDY_REPAIR, BEST_FIRST])
-    def test_each_candidate_unpadded_once_with_the_same_sources(self, strategy, monkeypatch):
+    def test_each_candidate_unpadded_once_with_the_same_sources(self, monkeypatch):
         rng = random.Random(31)
         for _ in range(120):
             widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
@@ -255,7 +219,7 @@ class TestCompileSource:
             with monkeypatch.context() as m:
                 m.setattr(assembler_module, "_compile_source", _unpad_every_call)
                 reference = RecordingJudge(good_sets)
-                expected = assemble(beams, TESTS, budget, reference, strategy)
+                expected = assemble(beams, TESTS, budget, reference)
             unpadded = Counter()
 
             def counting_unpad(line):
@@ -265,7 +229,7 @@ class TestCompileSource:
             with monkeypatch.context() as m:
                 m.setattr(assembler_module, "unpad_literals", counting_unpad)
                 judge = RecordingJudge(good_sets)
-                result = assemble(beams, TESTS, budget, judge, strategy)
+                result = assemble(beams, TESTS, budget, judge)
             assert judge.sources == reference.sources
             assert result == expected
             assert result.executions_used == len(judge.sources)

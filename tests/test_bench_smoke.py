@@ -1,10 +1,12 @@
 """Guard for the benchmark harness: tiny runs must finish and report outputs
-that match the recorded digests. translate-bound runs one thread over a large
-table; judge-bound is the only workload that judges on two threads, with
-annotator variants that back-translate to the same program, so it checks the
-verdict memo under threads against the benchmark's program labels. The
-traced resume run replaces ``ibtforge.ibt`` module functions by name and
-reads snapshots back, so it fails if the runner stops calling them."""
+that match the recorded digests. Every workload judges on a pool of up to
+cpu-count threads. translate-bound and resume translate one sample at a time,
+so their judging overlaps the next sample's translation; judge-bound
+translates two at a time, with annotator variants that back-translate to the
+same program, so it checks the verdict memo under threads against the
+benchmark's program labels. The traced resume run replaces ``ibtforge.ibt``
+module functions by name and reads snapshots back, so it fails if the runner
+stops calling them."""
 
 from __future__ import annotations
 
@@ -42,6 +44,13 @@ def test_translate_bound_smoke_run_is_correct():
 @requires_gcc
 def test_judge_bound_smoke_run_is_correct():
     result = _smoke_run("judge-bound")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+@requires_gcc
+def test_resume_smoke_run_is_correct():
+    result = _smoke_run("resume")
     assert result["correct"] is True
     assert result["failed"] == 0
 

@@ -4,6 +4,7 @@ import gc
 import json
 import re
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -297,6 +298,99 @@ class TestVerdictMemo:
         assert threaded_executions == serial_executions
 
 
+def numbered_programs(count: int) -> list[MonoSample]:
+    """``count`` copies of the easy program, told apart by their id and
+    their expected output, so no two share a verdict memo key."""
+    easy = build_mono_corpus()[0]
+    return [
+        MonoSample(
+            id=f"cZ{i}:main",
+            code_lines=list(easy.code_lines),
+            tests=[TestCase(input=b"", expected_output=str(i).encode())],
+            problem=f"cZ{i}",
+        )
+        for i in range(count)
+    ]
+
+
+class TestEvaluationPool:
+    """The evaluate phase translates at most ``max_workers`` samples at once
+    and judges on a pool of ``max(max_workers, JUDGE_THREADS)`` threads."""
+
+    ONE_ITERATION = IbtConfig(iterations=1, beam=4, budget=10, workers_top_k=2)
+
+    def test_judging_overlaps_the_next_translation(self, monkeypatch):
+        """With one translation slot and a pool of two, the second sample's
+        judge call starts while the first one's is still running."""
+        monkeypatch.setattr(ibt_module, "JUDGE_THREADS", 2)
+        barrier = threading.Barrier(2, timeout=30)
+        calls = []
+
+        def meeting_judge(source, tests):
+            calls.append(source)
+            if len(calls) <= 2:
+                barrier.wait()  # BrokenBarrierError if the calls never overlap
+            return c_only_judge(source, tests)
+
+        reports = run_ibt(
+            build_seed_parallel(), build_mono_corpus(), TemplateBackend(), TemplateBackend(),
+            self.ONE_ITERATION, judge_fn=meeting_judge, max_workers=1,
+        )
+        assert reports[0].tested_count == 2
+        assert reports[0].passed_count == 1
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_backend_calls_bounded_by_max_workers(self, monkeypatch, max_workers):
+        monkeypatch.setattr(ibt_module, "JUDGE_THREADS", 4)
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+
+        class CountingBackend(TemplateBackend):
+            def translate(self, req):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                try:
+                    time.sleep(0.005)
+                    return super().translate(req)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        reports = run_ibt(
+            build_seed_parallel(), numbered_programs(8), CountingBackend(), CountingBackend(),
+            self.ONE_ITERATION, judge_fn=passing_judge, max_workers=max_workers,
+        )
+        assert reports[0].passed_count == 8
+        assert 1 <= peak[0] <= max_workers
+
+    def test_judge_failure_evaluation_independent_of_pool_size(self, tmp_path, monkeypatch):
+        """The second of three samples is quarantined, and the evaluation
+        file is byte-identical whether the samples are judged one at a time
+        or two at a time."""
+
+        def failing_judge(source, tests):
+            if tests[0].expected_output == b"1":
+                raise JudgeFailureError("compiler exploded")
+            return passing_judge(source, tests)
+
+        evaluations = []
+        for pool in (1, 2):
+            monkeypatch.setattr(ibt_module, "JUDGE_THREADS", pool)
+            snap = tmp_path / f"pool{pool}"
+            run_ibt(
+                build_seed_parallel(), numbered_programs(3), TemplateBackend(), TemplateBackend(),
+                self.ONE_ITERATION, judge_fn=failing_judge, snapshot_dir=snap,
+                stop_after=(0, "evaluate"),
+            )
+            evaluations.append((snap / "evaluation.0.json").read_bytes())
+        assert evaluations[0] == evaluations[1]
+        outcome = json.loads(evaluations[0])
+        assert [q[0] for q in outcome["quarantined"]] == ["cZ1:main"]
+        assert [p[0] for p in outcome["passes"]] == ["cZ0:main", "cZ2:main"]
+
+
 class TestResumability:
     def _run(self, snapshot_dir, stop_after=None, forward=None):
         return run_ibt(
@@ -445,6 +539,33 @@ class TestResumability:
         flaky = FlakyBackend()
         with pytest.raises(BackendUnavailable):
             self._run(snap, forward=flaky)
+        resumed = self._run(snap, forward=flaky)
+        clean = self._run(tmp_path / "clean")
+        assert self._normalized(resumed) == self._normalized(clean)
+
+    def test_backend_outage_mid_evaluate_aborts_resumably(self, tmp_path):
+        """Worker expansion raises an unreachable forward backend instead of
+        dropping the variant, so the run stops after the last completed
+        phase rather than failing every program."""
+
+        class FlakyBackend(TemplateBackend):
+            def __init__(self):
+                super().__init__()
+                self.raised = False
+
+            def translate(self, req):
+                if not self.raised:
+                    self.raised = True
+                    raise BackendUnavailable("model server down")
+                return super().translate(req)
+
+        snap = tmp_path / "s"
+        flaky = FlakyBackend()
+        with pytest.raises(BackendUnavailable):
+            self._run(snap, forward=flaky)
+        state = json.loads((snap / "state.json").read_text())
+        assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
+        assert not (snap / "evaluation.0.json").exists()
         resumed = self._run(snap, forward=flaky)
         clean = self._run(tmp_path / "clean")
         assert self._normalized(resumed) == self._normalized(clean)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import requires_gcc, requires_gxx
 from ibtforge import judge as judge_module
-from ibtforge.assembler import BEST_FIRST, GREEDY_REPAIR, assemble
+from ibtforge.assembler import assemble
 from ibtforge.corpus import TestCase
 from ibtforge.judge import (
     JudgeConfig,
@@ -255,8 +256,82 @@ class TestVerdictMemo:
         assert memo("p", TESTS).kind is VerdictKind.ALL_PASSED
         assert calls == ["p", "p"]
 
-    @pytest.mark.parametrize("strategy", [GREEDY_REPAIR, BEST_FIRST])
-    def test_assemble_budget_accounting_unchanged(self, strategy):
+    def _single_flight(self, monkeypatch, judge):
+        """Start eight threads that call ``memo("p")`` and return once seven
+        of them wait for the eighth's verdict. Returns the memo, the list
+        that collects what each call returned or raised, and the threads."""
+        waiting = []
+        lock = threading.Lock()
+
+        class CountedFuture(judge_module.Future):
+            def result(self, timeout=None):
+                with lock:
+                    waiting.append(threading.get_ident())
+                return super().result(timeout)
+
+        monkeypatch.setattr(judge_module, "Future", CountedFuture)
+        memo = memoize_verdicts(judge)
+        outcomes = []
+
+        def call():
+            try:
+                outcomes.append(memo("p", TESTS))
+            except JudgeFailureError as exc:
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while len(waiting) < 7 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(waiting) == 7
+        return memo, outcomes, threads
+
+    @staticmethod
+    def _join(threads):
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    def test_concurrent_callers_of_one_key_judge_once(self, monkeypatch):
+        release = threading.Event()
+        calls = []
+
+        def judge(source, tests):
+            calls.append(source)
+            assert release.wait(timeout=30)
+            return JudgeVerdict(kind=VerdictKind.ALL_PASSED)
+
+        memo, outcomes, threads = self._single_flight(monkeypatch, judge)
+        release.set()
+        self._join(threads)
+        assert calls == ["p"]
+        assert len(outcomes) == 8 and all(o is outcomes[0] for o in outcomes)
+        assert memo("p", TESTS) is outcomes[0]
+        assert calls == ["p"]
+
+    def test_failure_reaches_the_waiters_and_is_dropped(self, monkeypatch):
+        release = threading.Event()
+        calls = []
+
+        def judge(source, tests):
+            calls.append(source)
+            if len(calls) == 1:
+                assert release.wait(timeout=30)
+                raise JudgeFailureError("compiler exploded")
+            return JudgeVerdict(kind=VerdictKind.ALL_PASSED)
+
+        memo, outcomes, threads = self._single_flight(monkeypatch, judge)
+        release.set()
+        self._join(threads)
+        assert calls == ["p"]
+        assert len(outcomes) == 8
+        assert all(isinstance(o, JudgeFailureError) for o in outcomes)
+        assert memo("p", TESTS).kind is VerdictKind.ALL_PASSED
+        assert calls == ["p", "p"]
+
+    def test_assemble_budget_accounting_unchanged(self):
         # compiles iff every line picks one of its good candidates; the
         # diagnostics name every bad line
         def judge(source, tests):
@@ -279,10 +354,10 @@ class TestVerdictMemo:
                 for i, w in enumerate(widths)
             ]
             budget = rng.randint(1, 8)
-            raw = assemble(beams, TESTS, budget, judge, strategy)
+            raw = assemble(beams, TESTS, budget, judge)
             memo = memoize_verdicts(judge)
             for _ in range(2):  # a cold memo, then one holding every verdict
-                cached = assemble(beams, TESTS, budget, memo, strategy)
+                cached = assemble(beams, TESTS, budget, memo)
                 assert cached.executions_used == raw.executions_used
                 assert cached.chosen_indices == raw.chosen_indices
                 assert cached.success == raw.success
@@ -299,8 +374,8 @@ class TestVerdictMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == [s.encode() for s in sources]
-        judged = sum(judge.calls.values())
         assert len(judge.calls) == 7
+        assert set(judge.calls.values()) == {1}  # no key judged twice
         for i in range(7):  # every key was stored
             memo(f"p{i}", TESTS)
-        assert sum(judge.calls.values()) == judged
+        assert set(judge.calls.values()) == {1}

@@ -839,11 +839,24 @@ class TestExpandWorkers:
         class FlakyBackend(TemplateBackend):
             def translate(self, req):
                 if any("<w:2>" in line for line in req.lines):
-                    raise BackendUnavailable("worker 2 is cursed")
+                    raise TranslatorError("worker 2 is cursed")
                 return super().translate(req)
 
         variants = expand_workers(self._mono(), [1, 2, 3], FlakyBackend())
         assert [w for w, _ in variants] == [1, 3]
+
+    def test_backend_outage_raised(self):
+        """An unreachable backend fails every variant, so it is not dropped
+        as one variant's failure."""
+
+        class DownBackend(TemplateBackend):
+            def translate(self, req):
+                if any("<w:2>" in line for line in req.lines):
+                    raise BackendUnavailable("model server down")
+                return super().translate(req)
+
+        with pytest.raises(BackendUnavailable):
+            expand_workers(self._mono(), [1, 2, 3], DownBackend())
 
     def test_empty_worker_list_rejected(self):
         with pytest.raises(ValueError):
