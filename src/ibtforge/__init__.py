@@ -1,7 +1,7 @@
 """Iterative back-translation pipeline for line-level code/pseudocode
 translation, with execution-based filtering of generated pairs."""
 
-from .assembler import AssemblyResult, assemble, first_error_line
+from .assembler import AssemblyResult, assemble
 from .corpus import (
     MonoSample,
     ParallelSample,
@@ -53,7 +53,6 @@ __all__ = [
     "cumulative_success",
     "exact_match",
     "expand_workers",
-    "first_error_line",
     "ingest_mono",
     "ingest_parallel",
     "judge_program",

@@ -47,13 +47,6 @@ def error_lines(diagnostics: str, line_count: int) -> list[int]:
     return sorted(hits)
 
 
-def first_error_line(diagnostics: str, line_count: int) -> int | None:
-    """Smallest implicated line index, or None when the diagnostics carry no
-    usable line reference (the caller then stops repairing)."""
-    lines = error_lines(diagnostics, line_count)
-    return lines[0] if lines else None
-
-
 def _canonical_program(beams: Sequence[LineBeam], choice: Sequence[int]) -> str:
     return "\n".join(beams[i].candidates[choice[i]].text for i in range(len(beams)))
 

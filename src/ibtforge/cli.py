@@ -67,15 +67,9 @@ class ConfigError(Exception):
 _SECTION_KEYS = {
     "paths": {"parallel", "mono", "testp", "testw", "snapshots", "scratch"},
     "backend": {"forward", "backward", "forward_state", "backward_state"},
-    "judge": {
-        "language",
-        "compiler_command",
-        "compile_timeout_s",
-        "run_timeout_s",
-        "memory_limit_mb",
-        "output_normalization",
-    },
-    "ibt": {"iterations", "beam", "budget", "workers_top_k", "pl_prefix_from_iteration"},
+    # the judge's scratch directory is set by paths.scratch
+    "judge": {f.name for f in dataclasses.fields(JudgeConfig)} - {"work_dir"},
+    "ibt": {f.name for f in dataclasses.fields(IbtConfig)},
     "run": {"max_workers"},
 }
 

@@ -155,16 +155,12 @@ class MonoSample:
 
 @dataclass
 class IngestStats:
-    rows_read: int = 0
-    samples: int = 0
     skipped_rows: int = 0
     dropped_samples: int = 0
     rejected_no_tests: int = 0
     rejected_empty: int = 0
-    diagnostics: list[str] = field(default_factory=list)
 
     def note(self, message: str) -> None:
-        self.diagnostics.append(message)
         log.warning("%s", message)
 
 
@@ -201,7 +197,6 @@ def ingest_parallel(
         if missing:
             raise MalformedRow(f"{path}: header missing columns {missing}")
         for lineno, row in enumerate(reader, start=2):
-            stats.rows_read += 1
             if len(row) != len(header):
                 stats.skipped_rows += 1
                 stats.note(f"{path}:{lineno}: malformed row ({len(row)} columns)")
@@ -237,7 +232,6 @@ def ingest_parallel(
                 problem=probid,
             )
         )
-    stats.samples = len(samples)
     return samples
 
 
@@ -286,7 +280,6 @@ def ingest_mono(path: str | Path, stats: IngestStats | None = None) -> list[Mono
     for problem_dir in problem_dirs:
         tests = discover_tests(problem_dir)
         for src in sorted(problem_dir.glob("*.c")):
-            stats.rows_read += 1
             sample_id = f"{problem_dir.name}:{src.stem}"
             if not tests:
                 stats.rejected_no_tests += 1
@@ -305,7 +298,6 @@ def ingest_mono(path: str | Path, stats: IngestStats | None = None) -> list[Mono
                     problem=problem_dir.name,
                 )
             )
-    stats.samples = len(samples)
     return samples
 
 

@@ -45,7 +45,6 @@ from .preprocess import Prefix, apply_prefix, preprocess_sample
 from .translator import (
     BACKWARD,
     Backend,
-    BackendUnavailable,
     FORWARD,
     TranslationRequest,
     expand_workers,
@@ -275,7 +274,7 @@ class IbtRunner:
     def _phase_finetune(self, direction: str) -> None:
         config = {"worker_prefix": direction == FORWARD, "pl_prefix": self._pl_on()}
         backend = self.forward if direction == FORWARD else self.backward
-        backend.fine_tune(self.parallel, direction, config).wait()
+        backend.fine_tune(self.parallel, direction, config)
         self._save_backend(direction)
 
     def _evaluate_sample(
@@ -295,8 +294,6 @@ class IbtRunner:
                     TranslationRequest(direction=BACKWARD, lines=lines, beam_size=self.cfg.beam)
                 )
                 translated.append((worker, pseudo_lines, beams))
-        if not translated:
-            return ("quarantine", "all forward variants failed")
         try:
             passing = [
                 (worker, pseudo_lines)
@@ -396,7 +393,9 @@ class IbtRunner:
     def run(self, stop_after: tuple[int, str] | None = None) -> list[IterationReport]:
         """Run to completion, or to ``stop_after=(iteration, phase)`` for
         cooperative kill-and-resume testing. State is saved after every
-        phase, so a resumed runner starts at the first phase not completed."""
+        phase, so a resumed runner starts at the first phase not completed.
+        A phase that raises, as on any ``TranslatorError`` of a backend,
+        leaves ``state.json`` at the last completed phase."""
         steps = (
             lambda: self._phase_finetune(FORWARD),
             lambda: self._phase_finetune(BACKWARD),
@@ -404,24 +403,18 @@ class IbtRunner:
             self._phase_augment,
             self._phase_report,
         )
-        try:
-            while not self.finished and self.iteration < self.cfg.iterations:
-                self._iter_started = time.monotonic()
-                done = self._done()
-                for phase, step in zip(PHASES[done:], steps[done:]):
-                    boundary = (self.iteration, phase)
-                    step()
-                    # the report step has already moved on to the next iteration
-                    self.completed_phase = phase if phase != PHASES[-1] else None
-                    self._save_state()
-                    if boundary == stop_after:
-                        return self.reports
-            return self.reports
-        except BackendUnavailable:
-            # state was persisted at the last phase boundary; the run can be
-            # resumed once the backend is reachable again
-            self._save_state()
-            raise
+        while not self.finished and self.iteration < self.cfg.iterations:
+            self._iter_started = time.monotonic()
+            done = self._done()
+            for phase, step in zip(PHASES[done:], steps[done:]):
+                boundary = (self.iteration, phase)
+                step()
+                # the report step has already moved on to the next iteration
+                self.completed_phase = phase if phase != PHASES[-1] else None
+                self._save_state()
+                if boundary == stop_after:
+                    return self.reports
+        return self.reports
 
 
 def run_ibt(

@@ -34,6 +34,9 @@ DIRECTIONS = (FORWARD, BACKWARD)
 
 NEG_INF = float("-inf")
 
+# Seconds between the status polls of a remote training run
+STATUS_POLL_S = 0.2
+
 
 class TranslatorError(Exception):
     pass
@@ -108,26 +111,15 @@ def build_beam(source: str, candidates: Iterable[Candidate], beam_size: int) -> 
     return LineBeam(source=source, candidates=tuple(unique[:beam_size]))
 
 
-class TrainingHandle:
-    """Handle on a fine-tuning run; the baseline completes synchronously."""
-
-    def __init__(self, handle_id: str, state: str = "completed"):
-        self.id = handle_id
-        self._state = state
-
-    def status(self) -> str:
-        return self._state
-
-    def wait(self, timeout_s: float | None = None, poll_s: float = 0.2) -> str:
-        return self.status()
-
-
 class Backend(Protocol):
+    """Either method raises a ``TranslatorError`` when it cannot do its work;
+    ``fine_tune`` returns once the model is trained."""
+
     def translate(self, req: TranslationRequest) -> list[LineBeam]: ...
 
     def fine_tune(
         self, dataset: Sequence[ParallelSample], direction: str, config: dict
-    ) -> TrainingHandle: ...
+    ) -> None: ...
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +456,7 @@ class TemplateBackend:
 
     def fine_tune(
         self, dataset: Sequence[ParallelSample], direction: str, config: dict | None = None
-    ) -> TrainingHandle:
+    ) -> None:
         if not dataset:
             raise ValueError("fine_tune requires a non-empty dataset")
         if direction not in DIRECTIONS:
@@ -474,8 +466,6 @@ class TemplateBackend:
         pl_prefix = bool(config.get("pl_prefix", False))
         self._parse()
         self._tries = {}
-        if not config.get("warm_start", True):
-            self._tables[direction] = {}
         table = self._tables[direction]
         for sample in dataset:
             prefix = Prefix(
@@ -493,7 +483,6 @@ class TemplateBackend:
                 template = _Template(source=source, target=target, seq=self._seq)
                 self._seq += 1
                 table[template.key] = template
-        return TrainingHandle(f"baseline-{self._seq}")
 
     def _abstract(self, direction: str, code_line: str, pseudo_line: str) -> _Shape:
         memo = self._memo
@@ -659,7 +648,9 @@ class RemoteBackend:
 
     def fine_tune(
         self, dataset: Sequence[ParallelSample], direction: str, config: dict | None = None
-    ) -> TrainingHandle:
+    ) -> None:
+        """Start a training run, then poll its status until it completes;
+        the wait is unbounded."""
         if not dataset:
             raise ValueError("fine_tune requires a non-empty dataset")
         payload = {
@@ -674,33 +665,15 @@ class RemoteBackend:
         handle = body.get("handle")
         if not isinstance(handle, str):
             raise BackendProtocolError("finetune: response lacks a handle")
-        return RemoteTrainingHandle(self, handle)
-
-
-class RemoteTrainingHandle(TrainingHandle):
-    def __init__(self, backend: RemoteBackend, handle_id: str):
-        super().__init__(handle_id, state="pending")
-        self._backend = backend
-
-    def status(self) -> str:
-        body = self._backend._request("GET", f"/status/{self.id}")
-        state = body.get("state")
-        if state not in ("pending", "running", "completed", "failed"):
-            raise BackendProtocolError(f"status: bad state {state!r}")
-        self._state = state
-        return state
-
-    def wait(self, timeout_s: float | None = None, poll_s: float = 0.2) -> str:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
-            state = self.status()
+            state = self._request("GET", f"/status/{handle}").get("state")
             if state == "completed":
-                return state
+                return
             if state == "failed":
-                raise TrainingRejected(f"training run {self.id} failed")
-            if deadline is not None and time.monotonic() >= deadline:
-                raise BackendUnavailable(f"training run {self.id} did not finish in time")
-            time.sleep(poll_s)
+                raise TrainingRejected(f"training run {handle} failed")
+            if state not in ("pending", "running"):
+                raise BackendProtocolError(f"status: bad state {state!r}")
+            time.sleep(STATUS_POLL_S)
 
 
 # ---------------------------------------------------------------------------
@@ -715,25 +688,17 @@ def expand_workers(
 ) -> list[tuple[int, list[str]]]:
     """Generate one top-1 pseudocode variant of a monolingual sample per
     worker id, conditioning the forward model with worker (and optionally
-    language) prefixes. A variant whose translation fails is dropped; an
-    unreachable backend or a malformed table fails every variant, so it is
-    raised instead."""
+    language) prefixes. A failed translation raises rather than dropping the
+    variant, which would read as a failed program."""
     if not workers:
         raise ValueError("expand_workers needs at least one worker id")
     variants: list[tuple[int, list[str]]] = []
     for worker in workers:
         prefix = Prefix(worker=worker, language=language_tag)
         lines = tuple(apply_prefix(prefix, line) for line in sample.code_lines)
-        try:
-            beams = forward.translate(
-                TranslationRequest(direction=FORWARD, lines=lines, beam_size=1)
-            )
-        except (BackendUnavailable, MalformedTable):
-            # a dropped variant would read as a failed program
-            raise
-        except TranslatorError as exc:
-            log.warning("expand_workers: %s variant for worker %s dropped: %s", sample.id, worker, exc)
-            continue
+        beams = forward.translate(
+            TranslationRequest(direction=FORWARD, lines=lines, beam_size=1)
+        )
         pseudo = [strip_prefix(b.top.text)[1] for b in beams]
         variants.append((worker, pseudo))
     return variants

@@ -14,7 +14,6 @@ from ibtforge.assembler import (
     AssemblyResult,
     assemble,
     error_lines,
-    first_error_line,
 )
 from ibtforge.corpus import TestCase
 from ibtforge.judge import JudgeVerdict, VerdictKind
@@ -242,26 +241,25 @@ class TestCompileSource:
 
 class TestErrorLineParsing:
     def test_with_column(self):
-        assert first_error_line("prog.c:3:5: error: expected ';'", 10) == 2
+        assert error_lines("prog.c:3:5: error: expected ';'", 10) == [2]
 
     def test_without_column(self):
-        assert first_error_line("prog.c:4: error: something", 10) == 3
+        assert error_lines("prog.c:4: error: something", 10) == [3]
 
     def test_fatal_error(self):
-        assert first_error_line("main.src:1:10: fatal error: x.h: No such file", 5) == 0
+        assert error_lines("main.src:1:10: fatal error: x.h: No such file", 5) == [0]
 
     def test_warnings_ignored(self):
         diag = "prog.c:2:1: warning: unused variable 'x' [-Wunused]\n"
-        assert first_error_line(diag, 10) is None
+        assert error_lines(diag, 10) == []
 
     def test_reference_beyond_program_clamped(self):
         diag = "/usr/include/broken.h:123:4: error: nope\n"
-        assert first_error_line(diag, 5) is None
+        assert error_lines(diag, 5) == []
 
     def test_multiple_errors_min_wins(self):
         diag = "p.c:7:1: error: a\np.c:3:2: error: b\np.c:9:9: error: c\n"
         assert error_lines(diag, 10) == [2, 6, 8]
-        assert first_error_line(diag, 10) == 2
 
     @requires_gcc
     def test_against_real_compiler_diagnostics(self, tmp_path):
@@ -273,7 +271,7 @@ class TestErrorLineParsing:
             text=True,
         )
         assert proc.returncode != 0
-        assert first_error_line(proc.stderr, 5) == 2
+        assert error_lines(proc.stderr, 5) == [2]
 
 
 class TestPreconditions:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -8,10 +9,13 @@ import pytest
 import yaml
 
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc
+import ibtforge.cli as cli_module
 from ibtforge.cli import EXIT_INFRA, EXIT_OK, EXIT_USER, load_config, main, ConfigError
 from ibtforge.corpus import ParallelSample, TestCase, save_mono, save_parallel
+from ibtforge.ibt import IbtConfig
+from ibtforge.judge import JudgeConfig
 from ibtforge.preprocess import preprocess_sample
-from ibtforge.translator import BACKWARD, FORWARD, TemplateBackend
+from ibtforge.translator import BACKWARD, FORWARD, BackendProtocolError, TemplateBackend
 
 HEADER = "text\tcode\tworkerid\tprobid\tsubid\tline\n"
 
@@ -88,6 +92,26 @@ class TestIngestCommand:
         assert len(out.read_text().splitlines()) == 1
 
 
+# a value other than the default for every configurable field
+CONFIG_VALUES = {
+    "ibt": {
+        "iterations": 3,
+        "beam": 5,
+        "budget": 7,
+        "workers_top_k": 4,
+        "pl_prefix_from_iteration": 0,
+    },
+    "judge": {
+        "language": "cpp",
+        "compiler_command": ["gcc", "{src}", "-o", "{bin}"],
+        "compile_timeout_s": 12.5,
+        "run_timeout_s": 2.5,
+        "memory_limit_mb": 64,
+        "output_normalization": "exact",
+    },
+}
+
+
 class TestConfigLoading:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, judge={"language": "c", "typo_key": 1})
@@ -106,6 +130,23 @@ class TestConfigLoading:
         loaded = load_config(cfg)
         assert loaded.judge.run_timeout_s == 2.5
         assert loaded.ibt.beam == 7
+
+    @pytest.mark.parametrize(
+        "section, name",
+        [("ibt", f.name) for f in dataclasses.fields(IbtConfig)]
+        + [("judge", f.name) for f in dataclasses.fields(JudgeConfig) if f.name != "work_dir"],
+    )
+    @pytest.mark.parametrize("source", ["yaml", "env"])
+    def test_every_config_field_accepted(self, tmp_path, monkeypatch, section, name, source):
+        value = CONFIG_VALUES[section][name]
+        if source == "yaml":
+            cfg = write_config(tmp_path, **{section: {name: value}})
+        else:
+            cfg = write_config(tmp_path)
+            monkeypatch.setenv(f"IBTFORGE_{section.upper()}_{name.upper()}", json.dumps(value))
+        loaded = getattr(load_config(cfg), section)
+        expected = tuple(value) if isinstance(value, list) else value
+        assert getattr(loaded, name) == expected
 
     def test_invalid_value_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, judge={"language": "rust"})
@@ -215,6 +256,22 @@ class TestRunIbtCommand:
         assert main(["run-ibt", "--config", cfg, "--iterations", "3"]) == EXIT_USER
         err = capsys.readouterr().err
         assert err == "error: snapshot was produced under a different configuration\n"
+
+    def test_protocol_error_mid_evaluate_is_infra_failure(self, tmp_path, capsys, monkeypatch):
+        class BrokenForward(TemplateBackend):
+            def translate(self, req):
+                raise BackendProtocolError("translate: beam count does not match line count")
+
+        monkeypatch.setattr(
+            cli_module,
+            "build_backend",
+            lambda cfg, which: BrokenForward() if which == "forward" else TemplateBackend(),
+        )
+        cfg = self._config(tmp_path)
+        assert main(["run-ibt", "--config", cfg]) == EXIT_INFRA
+        assert "beam count does not match" in capsys.readouterr().err
+        state = json.loads((tmp_path / "snapshots" / "state.json").read_text())
+        assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
 
     def test_deleted_table_is_user_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)

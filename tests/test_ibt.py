@@ -25,7 +25,12 @@ from ibtforge.ibt import (
 from ibtforge.judge import JudgeConfig, JudgeFailureError, JudgeVerdict, VerdictKind
 from ibtforge.metrics import ConservationViolated, cumulative_success
 from ibtforge.preprocess import preprocess_sample
-from ibtforge.translator import BackendUnavailable, TemplateBackend, TranslatorError
+from ibtforge.translator import (
+    BackendProtocolError,
+    BackendUnavailable,
+    TemplateBackend,
+    TranslatorError,
+)
 
 CFG = IbtConfig(iterations=2, beam=4, budget=10, workers_top_k=2, pl_prefix_from_iteration=1)
 
@@ -392,12 +397,12 @@ class TestEvaluationPool:
 
 
 class TestResumability:
-    def _run(self, snapshot_dir, stop_after=None, forward=None):
+    def _run(self, snapshot_dir, stop_after=None, forward=None, backward=None):
         return run_ibt(
             build_seed_parallel(),
             build_mono_corpus(),
             forward or TemplateBackend(),
-            TemplateBackend(),
+            backward or TemplateBackend(),
             CFG,
             judge_fn=c_only_judge,
             snapshot_dir=snapshot_dir,
@@ -543,10 +548,11 @@ class TestResumability:
         clean = self._run(tmp_path / "clean")
         assert self._normalized(resumed) == self._normalized(clean)
 
-    def test_backend_outage_mid_evaluate_aborts_resumably(self, tmp_path):
-        """Worker expansion raises an unreachable forward backend instead of
-        dropping the variant, so the run stops after the last completed
-        phase rather than failing every program."""
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("error", [BackendUnavailable, BackendProtocolError])
+    def test_backend_outage_mid_evaluate_aborts_resumably(self, tmp_path, error, direction):
+        """A translator error of either backend stops the run after the last
+        completed phase, rather than failing the program it was translating."""
 
         class FlakyBackend(TemplateBackend):
             def __init__(self):
@@ -556,17 +562,17 @@ class TestResumability:
             def translate(self, req):
                 if not self.raised:
                     self.raised = True
-                    raise BackendUnavailable("model server down")
+                    raise error("model server misbehaved")
                 return super().translate(req)
 
         snap = tmp_path / "s"
-        flaky = FlakyBackend()
-        with pytest.raises(BackendUnavailable):
-            self._run(snap, forward=flaky)
+        flaky = {direction: FlakyBackend()}
+        with pytest.raises(error):
+            self._run(snap, **flaky)
         state = json.loads((snap / "state.json").read_text())
         assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
         assert not (snap / "evaluation.0.json").exists()
-        resumed = self._run(snap, forward=flaky)
+        resumed = self._run(snap, **flaky)
         clean = self._run(tmp_path / "clean")
         assert self._normalized(resumed) == self._normalized(clean)
 
@@ -592,9 +598,8 @@ class TestResumability:
         assert len(names) == parsed
 
     def test_malformed_forward_table_stops_the_evaluation(self, tmp_path):
-        """The forward table is first parsed inside worker expansion, which
-        drops a variant whose translation fails; a malformed table must stop
-        the run instead of failing every program."""
+        """The forward table is first parsed inside worker expansion; a
+        malformed table stops the run instead of failing every program."""
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "finetune-backward"))
         table = snap / "forward.table.jsonl"

@@ -172,19 +172,6 @@ class TestBaselineFineTune:
         assert hit[0].top.text == "set y to 2"
         assert miss[0].top.score == NEG_INF
 
-    def test_cold_start_clears_table(self):
-        backend = TemplateBackend()
-        backend.fine_tune(
-            [make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])], FORWARD, {}
-        )
-        backend.fine_tune(
-            [make_pair_sample("s:2:1", 1, ["cout << x ;"], ["print x"])],
-            FORWARD,
-            {"warm_start": False},
-        )
-        beams = backend.translate(TranslationRequest(FORWARD, ("y = 2 ;",), 1))
-        assert beams[0].top.score == NEG_INF
-
     def test_state_round_trip(self, trained_backend, tmp_path):
         path = tmp_path / "table.jsonl"
         trained_backend.save_state(path)
@@ -272,8 +259,6 @@ class FreshAbstractionBackend(TemplateBackend):
 
     def fine_tune(self, dataset, direction, config=None):
         config = dict(config or {})
-        if not config.get("warm_start", True):
-            self._tables[direction] = {}
         table = self._tables[direction]
         for sample in dataset:
             prefix = Prefix(
@@ -384,7 +369,7 @@ fine_tune_calls = st.lists(
         st.lists(parallel_samples(), min_size=1, max_size=3),
         st.sampled_from([FORWARD, BACKWARD]),
         st.fixed_dictionaries(
-            {"worker_prefix": st.booleans(), "pl_prefix": st.booleans(), "warm_start": st.booleans()}
+            {"worker_prefix": st.booleans(), "pl_prefix": st.booleans()}
         ),
     ),
     min_size=1,
@@ -505,7 +490,7 @@ class TestAbstractionMemo:
             {},
             {"worker_prefix": True},
             {"worker_prefix": True, "pl_prefix": True},
-            {"pl_prefix": True, "warm_start": False},
+            {"pl_prefix": True},
             {"worker_prefix": True},
         ):
             for direction in (FORWARD, BACKWARD):
@@ -835,19 +820,9 @@ class TestExpandWorkers:
         variants = expand_workers(sample, list(range(1, 11)), backend)
         assert len(variants) == 10
 
-    def test_failing_variant_dropped(self):
-        class FlakyBackend(TemplateBackend):
-            def translate(self, req):
-                if any("<w:2>" in line for line in req.lines):
-                    raise TranslatorError("worker 2 is cursed")
-                return super().translate(req)
-
-        variants = expand_workers(self._mono(), [1, 2, 3], FlakyBackend())
-        assert [w for w, _ in variants] == [1, 3]
-
     def test_backend_outage_raised(self):
-        """An unreachable backend fails every variant, so it is not dropped
-        as one variant's failure."""
+        """A failed variant is raised, not dropped: a dropped variant would
+        read as a failed program."""
 
         class DownBackend(TemplateBackend):
             def translate(self, req):
@@ -1015,8 +990,9 @@ class TestRemoteBackend:
         url, state = stub_server
         backend = _fast_backend(url)
         sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
-        handle = backend.fine_tune([sample], FORWARD, {"learning_rate": 5e-6, "epochs": 25})
-        assert handle.wait(timeout_s=5, poll_s=0.01) == "completed"
+        state.status_sequence = ["pending", "running"]
+        assert backend.fine_tune([sample], FORWARD, {"learning_rate": 5e-6, "epochs": 25}) is None
+        assert [r[1] for r in state.requests] == ["/finetune"] + ["/status/job-1"] * 3
         sent = next(r for r in state.requests if r[1] == "/finetune")
         assert sent[2]["config"]["learning_rate"] == 5e-6
         assert sent[2]["dataset"][0]["id"] == "s:1:1"
@@ -1026,4 +1002,20 @@ class TestRemoteBackend:
         state.reject_finetune = True
         sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
         with pytest.raises(TrainingRejected):
+            _fast_backend(url).fine_tune([sample], FORWARD, {})
+
+    def test_failed_training_run_rejected(self, stub_server, monkeypatch):
+        url, state = stub_server
+        monkeypatch.setattr(translator_module, "STATUS_POLL_S", 0.01)
+        state.status_sequence = ["running", "failed"]
+        sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
+        with pytest.raises(TrainingRejected, match="job-1 failed"):
+            _fast_backend(url).fine_tune([sample], FORWARD, {})
+        assert len([r for r in state.requests if r[1] == "/status/job-1"]) == 2
+
+    def test_unknown_training_state_is_protocol_error(self, stub_server):
+        url, state = stub_server
+        state.status_sequence = ["paused"]
+        sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
+        with pytest.raises(BackendProtocolError, match="bad state 'paused'"):
             _fast_backend(url).fine_tune([sample], FORWARD, {})
