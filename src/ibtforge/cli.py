@@ -191,7 +191,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "parallel":
-        samples = ingest_parallel(args.path, format=args.format, stats=stats)
+        samples = ingest_parallel(args.path, stats=stats)
         save_parallel(samples, out_path)
     else:
         samples = ingest_mono(args.path, stats=stats)
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build a corpus snapshot")
     p.add_argument("kind", choices=["parallel", "mono"])
     p.add_argument("path")
-    p.add_argument("--format", default="spoc-tsv", choices=["spoc-tsv", "jsonl"])
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_ingest)

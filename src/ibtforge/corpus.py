@@ -168,22 +168,14 @@ class IngestStats:
 # Parallel corpus ingestion
 
 
-def ingest_parallel(
-    path: str | Path,
-    format: str = "spoc-tsv",
-    stats: IngestStats | None = None,
-) -> list[ParallelSample]:
-    """Load parallel samples from a SPoC-style TSV or a JSONL snapshot.
+def ingest_parallel(path: str | Path, stats: IngestStats | None = None) -> list[ParallelSample]:
+    """Load parallel samples from a SPoC-style TSV.
 
     TSV rows are grouped by (probid, subid, workerid) into whole programs in
     line order; code lines are canonicalized. Malformed rows and programs
     with non-contiguous line indices are skipped with a logged diagnostic.
     """
     path = Path(path)
-    if format == "jsonl":
-        return load_parallel(path)
-    if format != "spoc-tsv":
-        raise ValueError(f"unknown parallel corpus format: {format!r}")
     stats = stats if stats is not None else IngestStats()
     groups: dict[tuple[str, str, int], list[tuple[int, str, str]]] = {}
     order: list[tuple[str, str, int]] = []

@@ -32,7 +32,6 @@ class VerdictKind(str, Enum):
     RUNTIME_FAIL = "RuntimeFail"
     WRONG_ANSWER = "WrongAnswer"
     TIME_LIMIT = "TimeLimit"
-    JUDGE_FAILURE = "JudgeFailure"
 
 
 class JudgeFailureError(Exception):
@@ -45,7 +44,6 @@ class JudgeVerdict:
     diagnostics: str = ""  # compiler output when kind is COMPILE_ERROR
     failed_test: int | None = None  # first failing test index
     detail: str = ""
-    got: bytes | None = None  # program stdout for WRONG_ANSWER
     per_test: tuple[bool, ...] = ()
     wall_time_ms: tuple[float, ...] = ()
 
@@ -255,7 +253,6 @@ def _judge_in_scratch(
             return JudgeVerdict(
                 kind=VerdictKind.WRONG_ANSWER,
                 failed_test=index,
-                got=stdout,
                 per_test=tuple(per_test),
                 wall_time_ms=tuple(wall_times),
             )

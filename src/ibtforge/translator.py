@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import threading
 import time
 import weakref
@@ -128,27 +127,14 @@ class Backend(Protocol):
 # The C encoder of the json module; it writes tuples as arrays.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-_TAG_RE = re.compile(r"(<pl:(?:cpp|c)>|<w:[0-9]+>) ")
-
 _SLOT_KINDS = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
-
-
-def _split_tags(line: str) -> tuple[list[str], str]:
-    tags = []
-    rest = line
-    while True:
-        m = _TAG_RE.match(rest)
-        if not m:
-            return tags, rest
-        tags.append(m.group(1))
-        rest = rest[m.end() :]
 
 
 def _lex(line: str) -> list[tuple[str, str | None]]:
     """Tokenize a (possibly tagged) line into (text, slot-class) pairs where
     slot-class is "ID"/"NUM" for abstractable tokens and None otherwise."""
-    tags, rest = _split_tags(line)
-    toks: list[tuple[str, str | None]] = [(t, None) for t in tags]
+    prefix, rest = strip_prefix(line)
+    toks: list[tuple[str, str | None]] = [(t, None) for t in prefix.render().split()]
     for tok in tokenize_line(rest).tokens:
         toks.append((tok.text, _SLOT_KINDS.get(tok.kind)))
     return toks
@@ -167,6 +153,9 @@ def _run_class(classes: Sequence[str | None]) -> str:
 Elem = tuple
 # A template's (source, target) elements
 _Shape = tuple[tuple[Elem, ...], tuple[Elem, ...]]
+# source elements -> target elements, in training order: a later template
+# with the same source is moved to the end, shadowing the earlier one
+_Table = dict[tuple[Elem, ...], tuple[Elem, ...]]
 
 
 def _maximal_runs(toks: list[tuple[str, str | None]]) -> list[tuple[int, int]]:
@@ -191,23 +180,6 @@ def _find_subseq(haystack: list[str], needle: tuple[str, ...], start: int = 0) -
         if tuple(haystack[i : i + n]) == needle:
             return i
     return -1
-
-
-@dataclass
-class _Template:
-    source: Sequence[Elem]
-    target: Sequence[Elem]
-    seq: int
-
-    @property
-    def key(self) -> str:
-        return " ".join(
-            e[1] if e[0] == "lit" else f"<slot:{e[1]}:{e[2]}>" for e in self.source
-        )
-
-    @property
-    def literal_count(self) -> int:
-        return sum(1 for e in self.source if e[0] == "lit")
 
 
 def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
@@ -310,47 +282,56 @@ def _shared_memo() -> _AbstractionMemo:
         return memo
 
 
-def _parse_table(name: str, text: str) -> tuple[dict[str, dict[str, _Template]], int]:
-    """The per-direction tables of a table file's text, and the next seq."""
-    tables: dict[str, dict[str, _Template]] = {FORWARD: {}, BACKWARD: {}}
-    seq = 0
+def _elements(raw: list) -> tuple[Elem, ...]:
+    """One side of a table record: each element must be ``["lit", text]`` or
+    ``["slot", index, run class]``."""
+    elems = tuple(map(tuple, raw))
+    for e in elems:
+        match e:
+            case ("lit", str()) | ("slot", int(), "ID" | "NUM" | "MIX"):
+                continue
+        raise ValueError(f"bad template element {list(e)!r}")
+    return elems
+
+
+def _parse_table(name: str, text: str) -> dict[str, _Table]:
+    """The per-direction tables of a table file's text."""
+    tables: dict[str, _Table] = {FORWARD: {}, BACKWARD: {}}
     for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-            template = _Template(
-                source=[tuple(e) for e in rec["source"]],
-                target=[tuple(e) for e in rec["target"]],
-                seq=seq,
-            )
-            tables[rec["direction"]][template.key] = template
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            table, source = tables[rec["direction"]], _elements(rec["source"])
+            table.pop(source, None)
+            table[source] = _elements(rec["target"])
+        except (ValueError, KeyError, TypeError) as exc:
             message = f"{name}: malformed table record on line {lineno}: {exc!r}"
             raise MalformedTable(message) from exc
-        seq += 1
-    return tables, seq
+    return tables
 
 
 class _Node:
     """A trie node over template source elements. Literal children are keyed
-    by text, slot children by (slot index, run class); ``template`` is the
-    template whose source ends here, if any."""
+    by text, slot children by (slot index, run class); ``target`` is that of
+    the template whose source ends here, if any, and ``literals`` counts the
+    literal elements of its source."""
 
-    __slots__ = ("lits", "slots", "template")
+    __slots__ = ("lits", "slots", "target", "literals")
 
     def __init__(self) -> None:
         self.lits: dict[str, _Node] = {}
         self.slots: dict[tuple[int, str], _Node] = {}
-        self.template: _Template | None = None
+        self.target: tuple[Elem, ...] | None = None
+        self.literals = 0
 
 
-def _build_trie(templates: Iterable[_Template]) -> _Node:
+def _build_trie(table: _Table) -> _Node:
     root = _Node()
-    for template in templates:
+    for source, target in table.items():
         node = root
-        for el in template.source:
+        for el in source:
             if el[0] == "lit":
                 children, key = node.lits, el[1]
             else:
@@ -359,14 +340,16 @@ def _build_trie(templates: Iterable[_Template]) -> _Node:
             if child is None:
                 child = children[key] = _Node()
             node = child
-        node.template = template
+        node.target = target
+        node.literals = sum(1 for e in source if e[0] == "lit")
     return root
 
 
 def _trie_matches(
     root: _Node, toks: list[tuple[str, str | None]]
-) -> list[tuple[_Template, dict[int, tuple[str, ...]]]]:
-    """Every template whose source unifies with ``toks``, with its bindings.
+) -> list[tuple[_Node, dict[int, tuple[str, ...]]]]:
+    """The end node of every template whose source unifies with ``toks``,
+    with its bindings.
 
     One depth-first walk serves the whole table. Along any one template's
     path it visits states in the order of a backtracking match of that
@@ -398,7 +381,7 @@ def _trie_matches(
     while stack:
         node, pos, bindings = stack.pop()
         if pos == n:
-            if node.template is not None and node not in found:
+            if node.target is not None and node not in found:
                 found[node] = bindings
             continue
         child = node.lits.get(texts[pos])
@@ -415,7 +398,7 @@ def _trie_matches(
             for end, span_class, value in spans(pos):
                 if span_class == run_class:
                     stack.append((child, end, {**bindings, idx: value}))
-    return [(node.template, bindings) for node, bindings in found.items()]
+    return list(found.items())
 
 
 def _render(elems: Sequence[Elem], bindings: dict[int, tuple[str, ...]]) -> str:
@@ -437,19 +420,18 @@ class TemplateBackend:
     augmented data override habits learned from the seed corpus).
 
     ``translate`` matches each line against a trie of the table's source
-    sides, built on first use after the table last changed.
+    sides, rebuilt whenever the table changes.
 
     ``load_state`` reads the file's text; it is parsed on the first
     ``translate``, ``fine_tune``, ``save_state`` or ``table_size``.
     """
 
     def __init__(self) -> None:
-        self._tables: dict[str, dict[str, _Template]] = {FORWARD: {}, BACKWARD: {}}
-        self._seq = 0
+        self._tables: dict[str, _Table] = {FORWARD: {}, BACKWARD: {}}
+        self._tries = {FORWARD: _Node(), BACKWARD: _Node()}
         self._memo = _shared_memo()
         # (path, text) of a table loaded but not yet parsed
         self._unparsed: tuple[str, str] | None = None
-        self._tries: dict[str, _Node] = {}
         self._lock = threading.Lock()
 
     # -- training ----------------------------------------------------------
@@ -465,24 +447,25 @@ class TemplateBackend:
         worker_prefix = bool(config.get("worker_prefix", False))
         pl_prefix = bool(config.get("pl_prefix", False))
         self._parse()
-        self._tries = {}
         table = self._tables[direction]
-        for sample in dataset:
-            prefix = Prefix(
-                worker=sample.worker if worker_prefix else None,
-                language=sample.language if pl_prefix else None,
-            )
-            # prefix tags lex as class-None tokens, which never join a slot
-            # run, so abstracting a prefixed line gives the tag literals
-            # followed by the template of the unprefixed line
-            tags = tuple(("lit", tag) for tag in prefix.render().split())
-            for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
-                source, target = self._abstract(direction, code_line, pseudo_line)
-                if tags and (code_line if direction == FORWARD else pseudo_line):
-                    source = tags + source
-                template = _Template(source=source, target=target, seq=self._seq)
-                self._seq += 1
-                table[template.key] = template
+        try:
+            for sample in dataset:
+                prefix = Prefix(
+                    worker=sample.worker if worker_prefix else None,
+                    language=sample.language if pl_prefix else None,
+                )
+                # prefix tags lex as class-None tokens, which never join a slot
+                # run, so abstracting a prefixed line gives the tag literals
+                # followed by the template of the unprefixed line
+                tags = tuple(("lit", tag) for tag in prefix.render().split())
+                for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
+                    source, target = self._abstract(direction, code_line, pseudo_line)
+                    if tags and (code_line if direction == FORWARD else pseudo_line):
+                        source = tags + source
+                    table.pop(source, None)
+                    table[source] = target
+        finally:  # a fine-tune that raises part way has changed the table too
+            self._tries[direction] = _build_trie(table)
 
     def _abstract(self, direction: str, code_line: str, pseudo_line: str) -> _Shape:
         memo = self._memo
@@ -496,38 +479,29 @@ class TemplateBackend:
         return shapes[direction == BACKWARD]
 
     def _parse(self) -> None:
-        """Parse the table ``load_state`` read, once, however many threads
-        ask at the same time."""
+        """Parse the table ``load_state`` read and build both tries, once,
+        however many threads ask at the same time."""
         if self._unparsed is None:
             return
         with self._lock:
             if self._unparsed is not None:
-                self._tables, self._seq = _parse_table(*self._unparsed)
-                self._tries = {}
+                self._tables = _parse_table(*self._unparsed)
+                self._tries = {d: _build_trie(self._tables[d]) for d in DIRECTIONS}
                 self._unparsed = None
 
     # -- inference ---------------------------------------------------------
 
-    def _trie(self, direction: str) -> _Node:
-        trie = self._tries.get(direction)
-        if trie is None:
-            with self._lock:
-                trie = self._tries.get(direction)
-                if trie is None:
-                    trie = self._tries[direction] = _build_trie(self._tables[direction].values())
-        return trie
-
     def translate(self, req: TranslationRequest) -> list[LineBeam]:
         self._parse()
-        trie = self._trie(req.direction)
+        trie = self._tries[req.direction]
         beams = []
         for line in req.lines:
             scored: list[tuple[int, str]] = []
-            for template, bindings in _trie_matches(trie, _lex(line)):
-                text = _render(template.target, bindings)
+            for node, bindings in _trie_matches(trie, _lex(line)):
+                text = _render(node.target, bindings)
                 if req.direction == BACKWARD:
                     text = canonicalize(text)
-                scored.append((template.literal_count, text))
+                scored.append((node.literals, text))
             scored.sort(key=lambda s: (-s[0], s[1]))
             matches = [
                 Candidate(text=text, score=float(-rank)) for rank, (_, text) in enumerate(scored)
@@ -539,7 +513,7 @@ class TemplateBackend:
 
     @staticmethod
     def _echo(line: str, direction: str) -> Candidate:
-        _, rest = _split_tags(line)
+        _, rest = strip_prefix(line)
         text = canonicalize(rest) if direction == BACKWARD else rest
         return Candidate(text=text, score=NEG_INF)
 
@@ -554,10 +528,8 @@ class TemplateBackend:
         with atomic_open(path) as fh:
             for direction in DIRECTIONS:
                 head = '{"direction":' + _encode(direction) + ',"source":'
-                for template in sorted(self._tables[direction].values(), key=lambda t: t.seq):
-                    fh.write(
-                        f'{head}{_encode(template.source)},"target":{_encode(template.target)}}}\n'
-                    )
+                for source, target in self._tables[direction].items():
+                    fh.write(f'{head}{_encode(source)},"target":{_encode(target)}}}\n')
 
     def load_state(self, path: str | Path) -> None:
         """Replace the tables with those of ``path``. The file is read now
@@ -578,8 +550,9 @@ class RemoteBackend:
     """Client for a model server speaking the pipeline wire protocol:
     ``POST /translate``, ``POST /finetune``, ``GET /status/<handle>``.
 
-    Transport failures are retried with exponential backoff before raising
-    ``BackendUnavailable``; contract violations raise immediately.
+    A transport failure is retried once after each of ``retry_delays``
+    before ``BackendUnavailable`` is raised; contract violations, a body or
+    beam that is not a JSON object among them, raise immediately.
     """
 
     def __init__(
@@ -594,28 +567,38 @@ class RemoteBackend:
         self.retry_delays = tuple(retry_delays)
         self._session = session or requests.Session()
 
-    def _request(self, method: str, path: str, json_body: dict | None = None) -> dict:
+    def _request(
+        self,
+        method: str,
+        path: str,
+        json_body: dict | None = None,
+        rejected: type[TranslatorError] = BackendProtocolError,
+    ) -> dict:
+        """The JSON object answered; a 4xx status raises ``rejected``."""
         url = f"{self.base_url}{path}"
-        last_error: Exception | None = None
-        attempts = len(self.retry_delays)
-        for attempt in range(attempts):
+        delays = iter(self.retry_delays)
+        while True:
             try:
                 resp = self._session.request(method, url, json=json_body, timeout=self.timeout_s)
             except requests.RequestException as exc:
-                last_error = exc
+                last_error: Exception = exc
             else:
                 if resp.status_code >= 500:
                     last_error = BackendUnavailable(f"{url}: HTTP {resp.status_code}")
                 elif resp.status_code >= 400:
-                    raise BackendProtocolError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
+                    raise rejected(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
                 else:
                     try:
-                        return resp.json()
+                        body = resp.json()
                     except ValueError as exc:
                         raise BackendProtocolError(f"{url}: non-JSON response") from exc
-            if attempt + 1 < attempts:
-                time.sleep(self.retry_delays[attempt])
-        raise BackendUnavailable(f"{url}: {last_error}")
+                    if not isinstance(body, dict):
+                        raise BackendProtocolError(f"{url}: response is not a JSON object")
+                    return body
+            delay = next(delays, None)
+            if delay is None:
+                raise BackendUnavailable(f"{url}: {last_error}")
+            time.sleep(delay)
 
     def translate(self, req: TranslationRequest) -> list[LineBeam]:
         payload = {
@@ -629,6 +612,8 @@ class RemoteBackend:
             raise BackendProtocolError("translate: beam count does not match line count")
         beams = []
         for line, raw in zip(req.lines, raw_beams):
+            if not isinstance(raw, dict):
+                raise BackendProtocolError(f"translate: beam is not an object: {raw!r}")
             candidates = []
             for item in raw.get("candidates", []):
                 try:
@@ -658,10 +643,7 @@ class RemoteBackend:
             "config": dict(config or {}),
             "dataset": [s.to_record() for s in dataset],
         }
-        try:
-            body = self._request("POST", "/finetune", payload)
-        except BackendProtocolError as exc:
-            raise TrainingRejected(str(exc)) from exc
+        body = self._request("POST", "/finetune", payload, rejected=TrainingRejected)
         handle = body.get("handle")
         if not isinstance(handle, str):
             raise BackendProtocolError("finetune: response lacks a handle")

@@ -350,17 +350,22 @@ class TestEvalCommand:
         assert code == EXIT_USER
 
 
-class _FinetuneStub(BaseHTTPRequestHandler):
-    """Model server whose ``POST /finetune`` answers with ``reply``."""
+class _ModelStub(BaseHTTPRequestHandler):
+    """Model server that answers each path with its entry in ``replies``:
+    training completes at once unless a test replaces that, and translating
+    answers only what a test puts there."""
 
-    reply: tuple[int, dict]
+    replies: dict[str, tuple[int, object]]
 
     def log_message(self, *args):  # noqa: D102 - silence the test server
         pass
 
+    def do_GET(self):
+        self.do_POST()
+
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        code, payload = self.reply
+        code, payload = self.replies.get(self.path, (404, {"error": "no such endpoint"}))
         body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
@@ -370,8 +375,13 @@ class _FinetuneStub(BaseHTTPRequestHandler):
 
 
 class TestRemoteBackendFailures:
-    def _run(self, tmp_path, reply):
-        handler = type("Stub", (_FinetuneStub,), {"reply": reply})
+    def _run(self, tmp_path, path, reply):
+        replies = {
+            "/finetune": (200, {"handle": "job-1"}),
+            "/status/job-1": (200, {"handle": "job-1", "state": "completed"}),
+            path: reply,
+        }
+        handler = type("Stub", (_ModelStub,), {"replies": replies})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -392,9 +402,14 @@ class TestRemoteBackendFailures:
             thread.join(timeout=10)
 
     def test_protocol_violation_is_infra_failure(self, tmp_path, capsys):
-        assert self._run(tmp_path, (200, {"no": "handle"})) == EXIT_INFRA
+        assert self._run(tmp_path, "/finetune", (200, {"no": "handle"})) == EXIT_INFRA
         assert "lacks a handle" in capsys.readouterr().err
 
     def test_rejected_training_is_user_error(self, tmp_path, capsys):
-        assert self._run(tmp_path, (422, {"error": "bad dataset"})) == EXIT_USER
+        assert self._run(tmp_path, "/finetune", (422, {"error": "bad dataset"})) == EXIT_USER
         assert "training rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["/translate", "/finetune", "/status/job-1"])
+    def test_non_object_body_is_infra_failure(self, tmp_path, capsys, path):
+        assert self._run(tmp_path, path, (200, [])) == EXIT_INFRA
+        assert f"{path}: response is not a JSON object" in capsys.readouterr().err

@@ -92,17 +92,6 @@ class TestIngestParallel:
         save_parallel(ingest_parallel(tsv), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jsonl_format_reads_snapshots(self, tmp_path):
-        tsv = tmp_path / "corpus.tsv"
-        write_tsv(tsv, [("a", "int x;", 5, "p7", "s1", 0)])
-        snapshot = tmp_path / "d.jsonl"
-        save_parallel(ingest_parallel(tsv), snapshot)
-        assert ingest_parallel(snapshot, format="jsonl") == ingest_parallel(tsv)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ingest_parallel(tmp_path / "x", format="csv")
-
 
 class TestIngestMono:
     def make_problem(self, root, name, source, tests=((b"", b"ok"),)):

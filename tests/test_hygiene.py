@@ -1,5 +1,6 @@
 """Static checks on the package source: every module-level import is used,
-and every name a module exports in ``__all__`` exists."""
+every private module-level name is referenced, and every name a module
+exports in ``__all__`` exists."""
 
 from __future__ import annotations
 
@@ -42,6 +43,47 @@ def test_every_module_level_import_is_used(path):
     used.update(_exported(tree) or ())
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names that the module's top-level definitions and
+    assignments bind, with their lines."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound[name] = node.lineno
+    return bound
+
+
+def _referenced_names() -> set[str]:
+    """Every name any module of the package reads, as a name or an attribute,
+    or imports from a sibling."""
+    referenced = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_module_level_name_is_referenced(path):
+    defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    referenced = _referenced_names()
+    unreferenced = {name: line for name, line in defined.items() if name not in referenced}
+    assert not unreferenced, f"{path.name}: private names nothing references {unreferenced}"
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from ibtforge.translator import (
     TrainingRejected,
     TranslationRequest,
     TranslatorError,
-    _Template,
     _abstract_pair,
     _lex,
     _render,
@@ -172,6 +171,19 @@ class TestBaselineFineTune:
         assert hit[0].top.text == "set y to 2"
         assert miss[0].top.score == NEG_INF
 
+    def test_shadowing_template_moves_to_the_end(self):
+        backend = TemplateBackend()
+        a = make_pair_sample("s:1:1", 1, ["cout << x ;"], ["print x"])
+        b = make_pair_sample("s:2:1", 1, ["x = 1 ;"], ["set x to 1"])
+        a2 = make_pair_sample("s:3:1", 1, ["cout << y ;"], ["show y"])
+        for sample in (a, b, a2):
+            backend.fine_tune([sample], FORWARD, {})
+        records, _ = _saved_records(backend)
+        assert [r["target"] for r in records] == [
+            [["lit", "set"], ["slot", 0, "ID"], ["lit", "to"], ["slot", 1, "NUM"]],
+            [["lit", "show"], ["slot", 0, "ID"]],
+        ]
+
     def test_state_round_trip(self, trained_backend, tmp_path):
         path = tmp_path / "table.jsonl"
         trained_backend.save_state(path)
@@ -179,6 +191,18 @@ class TestBaselineFineTune:
         restored.load_state(path)
         req = TranslationRequest(FORWARD, ("x = 1 ;", "cout << y ;"), 5)
         assert restored.translate(req) == trained_backend.translate(req)
+
+
+prefixes = st.builds(
+    Prefix, worker=st.none() | st.integers(0, 20), language=st.none() | st.sampled_from(["cpp", "c"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=prefixes, line=st.text(alphabet=st.sampled_from(list("<>:wplc0123 x=;")), min_size=1))
+def test_lex_reads_the_tags_apply_prefix_renders(prefix, line):
+    tags = prefix.render().split()
+    assert _lex(apply_prefix(prefix, line))[: len(tags)] == [(t, None) for t in tags]
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +298,8 @@ class FreshAbstractionBackend(TemplateBackend):
                     if prefix and pseudo_line:
                         pseudo_line = apply_prefix(prefix, pseudo_line)
                     target, source = _abstract_pair(code_line, pseudo_line)
-                template = _Template(source=source, target=target, seq=self._seq)
-                self._seq += 1
-                table[template.key] = template
+                table.pop(source, None)
+                table[source] = target
 
 
 IDENTS = ["x", "y", "n", "set", "to", "plus", "print"]
@@ -426,25 +449,30 @@ class TestTrieMatching:
             req = TranslationRequest(direction, tuple(mine), 3)
             assert backend.translate(req) == linear_scan_translate(backend, req)
 
-    def test_trie_built_once_under_concurrent_translates(self, trained_backend, monkeypatch):
-        import ibtforge.translator as translator
-
-        build = translator._build_trie
+    @pytest.mark.parametrize("source", ["fine_tune", "load_state"])
+    def test_concurrent_translates_build_no_trie(self, trained_backend, tmp_path, monkeypatch, source):
+        backend = trained_backend
+        if source == "load_state":
+            path = tmp_path / "t.jsonl"
+            trained_backend.save_state(path)
+            backend = TemplateBackend()
+            backend.load_state(path)
+            assert backend.table_size(FORWARD) == 3  # the parse builds both tries
+        build = translator_module._build_trie
         builds = []
 
-        def slow_build(templates):
+        def counting_build(table):
             builds.append(threading.get_ident())
-            time.sleep(0.05)
-            return build(templates)
+            return build(table)
 
-        monkeypatch.setattr(translator, "_build_trie", slow_build)
+        monkeypatch.setattr(translator_module, "_build_trie", counting_build)
         req = TranslationRequest(FORWARD, ("x = 7 ;", "cout << y ;", "return 0 ;"), 3)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=lambda: results.append(trained_backend.translate(req)))
+                threading.Thread(target=lambda: results.append(backend.translate(req)))
                 for _ in range(6)
             ]
             for t in threads:
@@ -454,9 +482,21 @@ class TestTrieMatching:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert len(builds) == 1
+        assert builds == []
         assert len(results) == 6 and all(r == results[0] for r in results)
-        assert results[0] == linear_scan_translate(trained_backend, req)
+        assert results[0] == linear_scan_translate(backend, req)
+
+    def test_fine_tune_raising_part_way_leaves_a_matching_trie(self, trained_backend):
+        samples = [
+            make_pair_sample("s:2:1", 1, ["y = 2 ;"], ["let y be 2"]),
+            make_pair_sample("s:3:1", -1, ["cout << y ;"], ["show y"]),
+        ]
+        with pytest.raises(ValueError, match="non-negative"):
+            trained_backend.fine_tune(samples, FORWARD, {"worker_prefix": True})
+        assert trained_backend.table_size(FORWARD) == 4
+        req = TranslationRequest(FORWARD, ("<w:1> y = 2 ;", "x = 1 ;", "cout << y ;"), 3)
+        assert trained_backend.translate(req) == linear_scan_translate(trained_backend, req)
+        assert trained_backend.translate(req)[0].top.text == "let y be 2"
 
     def test_fine_tune_and_load_state_drop_the_trie(self, trained_backend, tmp_path):
         req = TranslationRequest(FORWARD, ("y = 2 ;",), 3)
@@ -630,6 +670,11 @@ class TestDeferredParse:
             '{"direction":"forward","source":[["lit","x"]]}',
             '{"direction":"sideways","source":[],"target":[]}',
             '{"direction":"forward","source":[["slot",0]],"target":[]}',
+            '{"direction":"forward","source":[["slot",0,"ID","x"]],"target":[]}',
+            '{"direction":"forward","source":[["foo","x","y"]],"target":[]}',
+            '{"direction":"forward","source":[["lit","a","b"]],"target":[]}',
+            '{"direction":"forward","source":[["lit","a"]],"target":[["slot","0","ID"]]}',
+            '{"direction":"forward","source":"lit","target":[]}',
             '["forward"]',
         ],
     )
@@ -691,11 +736,11 @@ class TestDeferredParse:
         assert len(results) == 6 and all(r == trained_backend.translate(req) for r in results)
 
 
-def _to_record(template, direction):
+def _to_record(direction, source, target):
     return {
         "direction": direction,
-        "source": [list(e) for e in template.source],
-        "target": [list(e) for e in template.target],
+        "source": [list(e) for e in source],
+        "target": [list(e) for e in target],
     }
 
 
@@ -704,9 +749,9 @@ def json_dumps_table(backend):
     reference for ``save_state``'s bytes."""
     backend.table_size(FORWARD)  # parses a table loaded but not yet used
     return "".join(
-        json.dumps(_to_record(template, direction), sort_keys=True, separators=(",", ":")) + "\n"
+        json.dumps(_to_record(direction, *template), sort_keys=True, separators=(",", ":")) + "\n"
         for direction in (FORWARD, BACKWARD)
-        for template in sorted(backend._tables[direction].values(), key=lambda t: t.seq)
+        for template in backend._tables[direction].items()
     ).encode("utf-8")
 
 
@@ -849,6 +894,7 @@ class _StubState:
         self.status_sequence = ["running", "completed"]
         self.reject_finetune = False
         self.bad_payload = False
+        self.replies: dict[str, object] = {}  # path -> a 200 body sent instead
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -872,7 +918,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = self._read_json()
         self.state.requests.append(("POST", self.path, body))
-        if self.path == "/translate":
+        if self.path in self.state.replies:
+            self._send(200, self.state.replies[self.path])
+        elif self.path == "/translate":
             if self.state.fail_translates > 0:
                 self.state.fail_translates -= 1
                 self._send(503, {"error": "warming up"})
@@ -905,7 +953,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         self.state.requests.append(("GET", self.path, None))
-        if self.path.startswith("/status/"):
+        if self.path in self.state.replies:
+            self._send(200, self.state.replies[self.path])
+        elif self.path.startswith("/status/"):
             state = (
                 self.state.status_sequence.pop(0)
                 if self.state.status_sequence
@@ -963,7 +1013,18 @@ class TestRemoteBackend:
         backend = _fast_backend(url)
         with pytest.raises(BackendUnavailable):
             backend.translate(TranslationRequest(FORWARD, ("a",), 1))
-        assert len(state.requests) == 3
+        assert len(state.requests) == 4
+
+    def test_each_retry_waits_its_delay(self, stub_server, monkeypatch):
+        url, state = stub_server
+        state.fail_translates = 99
+        waits = []
+        monkeypatch.setattr(translator_module.time, "sleep", waits.append)
+        backend = RemoteBackend(url, timeout_s=5.0, retry_delays=(0.5, 1.0, 2.0))
+        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+            backend.translate(TranslationRequest(FORWARD, ("a",), 1))
+        assert waits == [0.5, 1.0, 2.0]
+        assert len(state.requests) == 4
 
     def test_unreachable_host(self):
         backend = RemoteBackend("http://127.0.0.1:1", retry_delays=(0.01, 0.01))
@@ -975,6 +1036,22 @@ class TestRemoteBackend:
         state.bad_payload = True
         with pytest.raises(BackendProtocolError):
             _fast_backend(url).translate(TranslationRequest(FORWARD, ("a",), 1))
+
+    @pytest.mark.parametrize("body", [[], "beams", None, {"beams": ["a"]}, {"beams": [None]}])
+    def test_non_object_translate_reply_is_protocol_error(self, stub_server, body):
+        url, state = stub_server
+        state.replies["/translate"] = body
+        with pytest.raises(BackendProtocolError, match="not a JSON object|not an object"):
+            _fast_backend(url).translate(TranslationRequest(FORWARD, ("a",), 1))
+        assert len(state.requests) == 1
+
+    @pytest.mark.parametrize("path", ["/finetune", "/status/job-1"])
+    def test_non_object_training_reply_is_protocol_error(self, stub_server, path):
+        url, state = stub_server
+        state.replies[path] = [{"handle": "job-1", "state": "completed"}]
+        sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
+        with pytest.raises(BackendProtocolError, match=f"{path}: response is not a JSON object"):
+            _fast_backend(url).fine_tune([sample], FORWARD, {})
 
     def test_protocol_error_on_unknown_endpoint(self, stub_server):
         url, _ = stub_server
