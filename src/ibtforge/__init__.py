@@ -14,7 +14,7 @@ from .corpus import (
     save_mono,
     save_parallel,
 )
-from .ibt import IbtConfig, IterationReport, run_ibt, select_top_workers
+from .ibt import IbtConfig, IbtRunner, IterationReport, select_top_workers
 from .judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program
 from .lexer import canonicalize, tokenize_line
 from .metrics import corpus_bleu, cumulative_success, exact_match
@@ -34,6 +34,7 @@ __all__ = [
     "AssemblyResult",
     "Candidate",
     "IbtConfig",
+    "IbtRunner",
     "IterationReport",
     "JudgeConfig",
     "JudgeVerdict",
@@ -60,7 +61,6 @@ __all__ = [
     "load_parallel",
     "move_to_parallel",
     "rewrite_endl",
-    "run_ibt",
     "save_mono",
     "save_parallel",
     "select_top_workers",

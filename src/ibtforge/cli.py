@@ -33,7 +33,7 @@ from .corpus import (
     save_parallel,
     write_manifest,
 )
-from .ibt import IbtConfig, IbtError, IterationReport, run_ibt
+from .ibt import IbtConfig, IbtError, IbtRunner, IterationReport
 from .judge import JudgeConfig, JudgeFailureError, judge_program
 from .lexer import tokenize_line
 from .metrics import ConservationViolated, EvalReport, corpus_bleu, exact_match
@@ -146,12 +146,14 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
 
 def build_backend(cfg: PipelineConfig, which: str):
     """Instantiate the configured backend: the ``baseline`` sentinel gives
-    the in-process template table, anything else is treated as a base URL."""
+    the in-process template table, loaded from ``<which>_state`` when that is
+    set (a missing file is an error, not an empty table); anything else is
+    treated as a base URL."""
     spec = cfg.backend.get(which, "baseline")
     if spec == "baseline":
         backend = TemplateBackend()
         state = cfg.backend.get(f"{which}_state")
-        if state and Path(state).exists():
+        if state:
             backend.load_state(state)
         return backend
     return RemoteBackend(str(spec))
@@ -320,7 +322,7 @@ def cmd_run_ibt(args: argparse.Namespace) -> int:
     forward = build_backend(cfg, "forward")
     backward = build_backend(cfg, "backward")
     snapshots = cfg.paths.get("snapshots")
-    reports = run_ibt(
+    reports = IbtRunner(
         parallel,
         mono,
         forward,
@@ -329,7 +331,7 @@ def cmd_run_ibt(args: argparse.Namespace) -> int:
         judge_cfg=cfg.judge,
         snapshot_dir=snapshots,
         max_workers=cfg.max_workers,
-    )
+    ).run()
     record = {
         "initial_mono_count": len(mono),
         "reports": [r.to_record() for r in reports],

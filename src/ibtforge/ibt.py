@@ -125,7 +125,8 @@ class IbtRunner:
 
     With a snapshot directory the runner is resumable: it records the last
     completed phase in ``state.json`` and re-enters the loop there, reloading
-    corpora and backend tables from the snapshot files.
+    the corpora, and the backend tables the remaining phases use, from the
+    snapshot files.
     """
 
     def __init__(
@@ -239,7 +240,9 @@ class IbtRunner:
 
     def _resume(self) -> None:
         """Restore the state, corpora, tables and evaluation that the last
-        completed phase left; refuse, naming the file, when one is missing."""
+        completed phase left; refuse, naming the file, when one is missing.
+        The tables are loaded, and so checked, only when a phase still to
+        run fine-tunes or translates."""
         assert self.snapshot_dir is not None
         state = json.loads((self.snapshot_dir / "state.json").read_text(encoding="utf-8"))
         if state.get("config") != self.cfg.to_record():
@@ -254,11 +257,18 @@ class IbtRunner:
         d_path, y_path = self._corpus_paths(self.iteration + (done > PHASES.index("augment")))
         self.parallel = load_parallel(self._required(d_path))
         self.mono = load_mono(self._required(y_path))
+        # a finished run, or one past its last evaluation, has no phase left
+        # that fine-tunes or translates
+        used = not self.finished and (
+            done <= PHASES.index("evaluate") or self.iteration + 1 < self.cfg.iterations
+        )
         for name, backend in (("forward", self.forward), ("backward", self.backward)):
             load = getattr(backend, "load_state", None)
             trained = self.iteration > 0 or done > PHASES.index(f"finetune-{name}")
             if callable(load) and trained:
-                load(self._required(self.snapshot_dir / f"{name}.table.jsonl"))
+                table = self._required(self.snapshot_dir / f"{name}.table.jsonl")
+                if used:
+                    load(table)
         if done > PHASES.index("evaluate"):
             outcome_path = self._required(self.snapshot_dir / f"evaluation.{self.iteration}.json")
             self._outcomes = json.loads(outcome_path.read_text(encoding="utf-8"))
@@ -415,31 +425,3 @@ class IbtRunner:
                 if boundary == stop_after:
                     return self.reports
         return self.reports
-
-
-def run_ibt(
-    parallel: list[ParallelSample],
-    mono: list[MonoSample],
-    forward: Backend,
-    backward: Backend,
-    cfg: IbtConfig,
-    judge_cfg: JudgeConfig | None = None,
-    judge_fn: JudgeFn | None = None,
-    snapshot_dir: str | Path | None = None,
-    max_workers: int = 1,
-    stop_after: tuple[int, str] | None = None,
-) -> list[IterationReport]:
-    """Drive the full back-translation loop and return one report per
-    executed iteration."""
-    runner = IbtRunner(
-        parallel,
-        mono,
-        forward,
-        backward,
-        cfg,
-        judge_cfg=judge_cfg,
-        judge_fn=judge_fn,
-        snapshot_dir=snapshot_dir,
-        max_workers=max_workers,
-    )
-    return runner.run(stop_after=stop_after)

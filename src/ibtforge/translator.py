@@ -420,19 +420,14 @@ class TemplateBackend:
     augmented data override habits learned from the seed corpus).
 
     ``translate`` matches each line against a trie of the table's source
-    sides, rebuilt whenever the table changes.
-
-    ``load_state`` reads the file's text; it is parsed on the first
-    ``translate``, ``fine_tune``, ``save_state`` or ``table_size``.
+    sides, rebuilt whenever the table changes: by ``fine_tune`` for its
+    direction, by ``load_state`` for both.
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, _Table] = {FORWARD: {}, BACKWARD: {}}
         self._tries = {FORWARD: _Node(), BACKWARD: _Node()}
         self._memo = _shared_memo()
-        # (path, text) of a table loaded but not yet parsed
-        self._unparsed: tuple[str, str] | None = None
-        self._lock = threading.Lock()
 
     # -- training ----------------------------------------------------------
 
@@ -446,7 +441,6 @@ class TemplateBackend:
         config = dict(config or {})
         worker_prefix = bool(config.get("worker_prefix", False))
         pl_prefix = bool(config.get("pl_prefix", False))
-        self._parse()
         table = self._tables[direction]
         try:
             for sample in dataset:
@@ -478,21 +472,9 @@ class TemplateBackend:
             shapes = memo.pairs[key] = (intern(shape, shape), intern(twin, twin))
         return shapes[direction == BACKWARD]
 
-    def _parse(self) -> None:
-        """Parse the table ``load_state`` read and build both tries, once,
-        however many threads ask at the same time."""
-        if self._unparsed is None:
-            return
-        with self._lock:
-            if self._unparsed is not None:
-                self._tables = _parse_table(*self._unparsed)
-                self._tries = {d: _build_trie(self._tables[d]) for d in DIRECTIONS}
-                self._unparsed = None
-
     # -- inference ---------------------------------------------------------
 
     def translate(self, req: TranslationRequest) -> list[LineBeam]:
-        self._parse()
         trie = self._tries[req.direction]
         beams = []
         for line in req.lines:
@@ -524,7 +506,6 @@ class TemplateBackend:
         training order. Each line is built around the encoded element lists,
         with its keys in sorted order, so the bytes are those of
         ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
-        self._parse()
         with atomic_open(path) as fh:
             for direction in DIRECTIONS:
                 head = '{"direction":' + _encode(direction) + ',"source":'
@@ -532,13 +513,13 @@ class TemplateBackend:
                     fh.write(f'{head}{_encode(source)},"target":{_encode(target)}}}\n')
 
     def load_state(self, path: str | Path) -> None:
-        """Replace the tables with those of ``path``. The file is read now
-        and parsed on first use; a malformed one raises ``MalformedTable``
-        naming it then."""
-        self._unparsed = (str(path), Path(path).read_text(encoding="utf-8"))
+        """Replace the tables with those of ``path`` and build both tries. A
+        malformed file raises ``MalformedTable`` naming it and the line, and
+        leaves the tables as they were."""
+        self._tables = _parse_table(str(path), Path(path).read_text(encoding="utf-8"))
+        self._tries = {d: _build_trie(self._tables[d]) for d in DIRECTIONS}
 
     def table_size(self, direction: str) -> int:
-        self._parse()
         return len(self._tables[direction])
 
 
@@ -552,7 +533,8 @@ class RemoteBackend:
 
     A transport failure is retried once after each of ``retry_delays``
     before ``BackendUnavailable`` is raised; contract violations, a body or
-    beam that is not a JSON object among them, raise immediately.
+    beam that is not a JSON object or candidates that are not a list among
+    them, raise immediately.
     """
 
     def __init__(
@@ -614,8 +596,11 @@ class RemoteBackend:
         for line, raw in zip(req.lines, raw_beams):
             if not isinstance(raw, dict):
                 raise BackendProtocolError(f"translate: beam is not an object: {raw!r}")
+            items = raw.get("candidates", [])
+            if not isinstance(items, list):
+                raise BackendProtocolError(f"translate: candidates are not a list: {items!r}")
             candidates = []
-            for item in raw.get("candidates", []):
+            for item in items:
                 try:
                     text = str(item["text"])
                     score = float(item["score"])

@@ -14,7 +14,7 @@ import pytest
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc, requires_gxx
 from ibtforge.assembler import assemble
 from ibtforge.corpus import TestCase
-from ibtforge.ibt import IbtConfig, IbtRunner, IterationReport, run_ibt
+from ibtforge.ibt import IbtConfig, IbtRunner, IterationReport
 from ibtforge.judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program
 from ibtforge.lexer import canonicalize
 from ibtforge.metrics import corpus_bleu, cumulative_success, exact_match
@@ -216,7 +216,7 @@ def _normalized_reports(snapshot_dir):
 @criterion(8, "kill-and-resume reproduces the uninterrupted final report", 180.0)
 def test_criterion_8_resumability(tmp_path):
     def run(snapshot_dir, stop_after=None):
-        return run_ibt(
+        return IbtRunner(
             build_seed_parallel(),
             build_mono_corpus(),
             TemplateBackend(),
@@ -224,8 +224,7 @@ def test_criterion_8_resumability(tmp_path):
             IBT_CFG,
             judge_cfg=JudgeConfig(language="c", work_dir=str(tmp_path / "scratch")),
             snapshot_dir=snapshot_dir,
-            stop_after=stop_after,
-        )
+        ).run(stop_after=stop_after)
 
     clean_dir = tmp_path / "uninterrupted"
     run(clean_dir)

@@ -273,6 +273,14 @@ class TestRunIbtCommand:
         state = json.loads((tmp_path / "snapshots" / "state.json").read_text())
         assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
 
+    @pytest.mark.parametrize("which", ["forward", "backward"])
+    def test_missing_configured_table_is_user_error(self, tmp_path, capsys, monkeypatch, which):
+        missing = tmp_path / f"{which}.typo.jsonl"
+        monkeypatch.setenv(f"IBTFORGE_BACKEND_{which.upper()}_STATE", str(missing))
+        assert main(["run-ibt", "--config", self._config(tmp_path)]) == EXIT_USER
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "snapshots").exists()
+
     def test_deleted_table_is_user_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         assert main(["run-ibt", "--config", cfg]) == EXIT_OK
@@ -375,7 +383,7 @@ class _ModelStub(BaseHTTPRequestHandler):
 
 
 class TestRemoteBackendFailures:
-    def _run(self, tmp_path, path, reply):
+    def _run(self, tmp_path, path, reply, mono=None):
         replies = {
             "/finetune": (200, {"handle": "job-1"}),
             "/status/job-1": (200, {"handle": "job-1", "state": "completed"}),
@@ -388,7 +396,7 @@ class TestRemoteBackendFailures:
         url = f"http://127.0.0.1:{server.server_port}"
         try:
             save_parallel(build_seed_parallel(), tmp_path / "D.jsonl")
-            save_mono(build_mono_corpus(), tmp_path / "Y.jsonl")
+            save_mono(mono or build_mono_corpus(), tmp_path / "Y.jsonl")
             cfg = write_config(
                 tmp_path,
                 paths={"parallel": str(tmp_path / "D.jsonl"), "mono": str(tmp_path / "Y.jsonl")},
@@ -413,3 +421,10 @@ class TestRemoteBackendFailures:
     def test_non_object_body_is_infra_failure(self, tmp_path, capsys, path):
         assert self._run(tmp_path, path, (200, [])) == EXIT_INFRA
         assert f"{path}: response is not a JSON object" in capsys.readouterr().err
+
+    def test_non_list_candidates_is_infra_failure(self, tmp_path, capsys):
+        # one program, so the first request translates its lines
+        mono = build_mono_corpus()[:1]
+        beams = [{"candidates": 5}] * len(mono[0].code_lines)
+        assert self._run(tmp_path, "/translate", (200, {"beams": beams}), mono) == EXIT_INFRA
+        assert "translate: candidates are not a list: 5" in capsys.readouterr().err

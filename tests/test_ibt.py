@@ -19,7 +19,6 @@ from ibtforge.ibt import (
     IbtError,
     IbtRunner,
     IterationReport,
-    run_ibt,
     select_top_workers,
 )
 from ibtforge.judge import JudgeConfig, JudgeFailureError, JudgeVerdict, VerdictKind
@@ -28,8 +27,8 @@ from ibtforge.preprocess import preprocess_sample
 from ibtforge.translator import (
     BackendProtocolError,
     BackendUnavailable,
+    MalformedTable,
     TemplateBackend,
-    TranslatorError,
 )
 
 CFG = IbtConfig(iterations=2, beam=4, budget=10, workers_top_k=2, pl_prefix_from_iteration=1)
@@ -193,14 +192,14 @@ class TestEarlyExitAndBookkeeping:
         return [build_mono_corpus()[0]]
 
     def test_empty_pool_breaks_loop(self, seed_parallel):
-        reports = run_ibt(
+        reports = IbtRunner(
             seed_parallel,
             self._easy_only(),
             TemplateBackend(),
             TemplateBackend(),
             CFG,
             judge_fn=passing_judge,
-        )
+        ).run()
         assert len(reports) == 1
         assert reports[0].passed_count == 1
 
@@ -227,14 +226,14 @@ class TestEarlyExitAndBookkeeping:
         assert [q[0] for q in runner.quarantined] == ["cY1:main"]
 
     def test_parallel_evaluation_matches_serial(self, seed_parallel, mono_corpus):
-        serial = run_ibt(
+        serial = IbtRunner(
             seed_parallel, mono_corpus, TemplateBackend(), TemplateBackend(),
             CFG, judge_fn=c_only_judge, max_workers=1,
-        )
-        threaded = run_ibt(
+        ).run()
+        threaded = IbtRunner(
             seed_parallel, mono_corpus, TemplateBackend(), TemplateBackend(),
             CFG, judge_fn=c_only_judge, max_workers=4,
-        )
+        ).run()
         strip = lambda rs: [
             {k: v for k, v in r.to_record().items() if k != "wall_time_s"} for r in rs
         ]
@@ -273,10 +272,10 @@ class TestVerdictMemo:
             return result
 
         monkeypatch.setattr(ibt_module, "assemble", counting_assemble)
-        reports = run_ibt(
+        reports = IbtRunner(
             seed_parallel, mono_corpus, TemplateBackend(), TemplateBackend(),
             CFG, judge_fn=counting_judge, max_workers=max_workers,
-        )
+        ).run()
         return reports, calls, sum(executions)
 
     def test_collapsing_variants_judged_once_per_distinct_program(
@@ -337,10 +336,10 @@ class TestEvaluationPool:
                 barrier.wait()  # BrokenBarrierError if the calls never overlap
             return c_only_judge(source, tests)
 
-        reports = run_ibt(
+        reports = IbtRunner(
             build_seed_parallel(), build_mono_corpus(), TemplateBackend(), TemplateBackend(),
             self.ONE_ITERATION, judge_fn=meeting_judge, max_workers=1,
-        )
+        ).run()
         assert reports[0].tested_count == 2
         assert reports[0].passed_count == 1
 
@@ -363,10 +362,10 @@ class TestEvaluationPool:
                     with lock:
                         in_flight[0] -= 1
 
-        reports = run_ibt(
+        reports = IbtRunner(
             build_seed_parallel(), numbered_programs(8), CountingBackend(), CountingBackend(),
             self.ONE_ITERATION, judge_fn=passing_judge, max_workers=max_workers,
-        )
+        ).run()
         assert reports[0].passed_count == 8
         assert 1 <= peak[0] <= max_workers
 
@@ -384,11 +383,10 @@ class TestEvaluationPool:
         for pool in (1, 2):
             monkeypatch.setattr(ibt_module, "JUDGE_THREADS", pool)
             snap = tmp_path / f"pool{pool}"
-            run_ibt(
+            IbtRunner(
                 build_seed_parallel(), numbered_programs(3), TemplateBackend(), TemplateBackend(),
                 self.ONE_ITERATION, judge_fn=failing_judge, snapshot_dir=snap,
-                stop_after=(0, "evaluate"),
-            )
+            ).run(stop_after=(0, "evaluate"))
             evaluations.append((snap / "evaluation.0.json").read_bytes())
         assert evaluations[0] == evaluations[1]
         outcome = json.loads(evaluations[0])
@@ -396,9 +394,12 @@ class TestEvaluationPool:
         assert [p[0] for p in outcome["passes"]] == ["cZ0:main", "cZ2:main"]
 
 
+BOUNDARIES = [(i, phase) for i in range(CFG.iterations) for phase in ibt_module.PHASES]
+
+
 class TestResumability:
-    def _run(self, snapshot_dir, stop_after=None, forward=None, backward=None):
-        return run_ibt(
+    def _runner(self, snapshot_dir, forward=None, backward=None):
+        return IbtRunner(
             build_seed_parallel(),
             build_mono_corpus(),
             forward or TemplateBackend(),
@@ -406,8 +407,10 @@ class TestResumability:
             CFG,
             judge_fn=c_only_judge,
             snapshot_dir=snapshot_dir,
-            stop_after=stop_after,
         )
+
+    def _run(self, snapshot_dir, stop_after=None, forward=None, backward=None):
+        return self._runner(snapshot_dir, forward, backward).run(stop_after=stop_after)
 
     @staticmethod
     def _normalized(reports):
@@ -415,19 +418,25 @@ class TestResumability:
             {k: v for k, v in r.to_record().items() if k != "wall_time_s"} for r in reports
         ]
 
+    @staticmethod
+    def _corpora_and_tables(snap):
+        return {
+            p.name: p.read_bytes()
+            for pattern in ("corpus.*.jsonl", "*.table.jsonl")
+            for p in snap.glob(pattern)
+        }
+
     def test_stop_and_resume_at_every_phase_boundary(self, tmp_path):
         baseline = self._normalized(self._run(tmp_path / "clean"))
-        boundaries = [
-            (i, phase)
-            for i in range(CFG.iterations)
-            for phase in ("finetune-forward", "finetune-backward", "evaluate", "augment", "report")
-        ]
-        for n, boundary in enumerate(boundaries):
+        files = self._corpora_and_tables(tmp_path / "clean")
+        assert len(files) == 2 * (CFG.iterations + 1) + 2
+        for n, boundary in enumerate(BOUNDARIES):
             snap = tmp_path / f"snap{n}"
             partial = self._run(snap, stop_after=boundary)
             assert len(partial) <= len(baseline)
             resumed = self._run(snap)
             assert self._normalized(resumed) == baseline
+            assert self._corpora_and_tables(snap) == files, boundary
 
     def test_state_file_round_trip(self, tmp_path):
         self._run(tmp_path / "s", stop_after=(0, "evaluate"))
@@ -515,7 +524,7 @@ class TestResumability:
     def test_shared_backend_writes_both_tables(self, tmp_path):
         snap = tmp_path / "s"
         shared = TemplateBackend()
-        run_ibt(
+        IbtRunner(
             build_seed_parallel(),
             build_mono_corpus(),
             shared,
@@ -523,8 +532,7 @@ class TestResumability:
             CFG,
             judge_fn=c_only_judge,
             snapshot_dir=snap,
-            stop_after=(0, "finetune-forward"),
-        )
+        ).run(stop_after=(0, "finetune-forward"))
         forward = (snap / "forward.table.jsonl").read_bytes()
         assert forward and (snap / "backward.table.jsonl").read_bytes() == forward
 
@@ -577,12 +585,15 @@ class TestResumability:
         assert self._normalized(resumed) == self._normalized(clean)
 
     @pytest.mark.parametrize(
-        "boundary, parsed", [(None, 0), ((1, "evaluate"), 0), ((0, "evaluate"), 2)]
+        "boundary, parsed",
+        [(None, ()), (BOUNDARIES[0], ("forward",))]
+        + [(b, ("forward", "backward")) for b in BOUNDARIES[1:7]]
+        + [(b, ()) for b in BOUNDARIES[7:]],  # from (1, "evaluate") on
     )
     def test_resume_parses_only_the_tables_it_uses(self, tmp_path, monkeypatch, boundary, parsed):
         """A finished run, or one stopped after its last evaluation, is
-        recovered without parsing a table; one stopped earlier parses both
-        when it fine-tunes."""
+        recovered without parsing a table; one stopped earlier parses each
+        table it has trained when the runner is built."""
         baseline = self._normalized(self._run(tmp_path / "clean"))
         snap = tmp_path / "s"
         self._run(snap, stop_after=boundary)
@@ -594,25 +605,29 @@ class TestResumability:
             return parse(name, text)
 
         monkeypatch.setattr(translator_module, "_parse_table", counting)
-        assert self._normalized(self._run(snap)) == baseline
-        assert len(names) == parsed
+        runner = self._runner(snap)
+        assert names == [str(snap / f"{d}.table.jsonl") for d in parsed]
+        assert self._normalized(runner.run()) == baseline
+        assert len(names) == len(parsed)
 
-    def test_malformed_forward_table_stops_the_evaluation(self, tmp_path):
-        """The forward table is first parsed inside worker expansion; a
-        malformed table stops the run instead of failing every program."""
+    @pytest.mark.parametrize("name", ["forward", "backward"])
+    def test_malformed_table_is_refused_when_the_runner_is_built(self, tmp_path, name):
+        """A malformed table that the rest of the run would use stops the
+        resume before any phase runs, rather than failing every program."""
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "finetune-backward"))
-        table = snap / "forward.table.jsonl"
+        table = snap / f"{name}.table.jsonl"
         table.write_text(table.read_text()[:-2] + "\n")
-        with pytest.raises(TranslatorError, match=re.escape(f"{table}: malformed table record")):
-            self._run(snap)
-        assert not (snap / "evaluation.0.json").exists()
+        state = (snap / "state.json").read_bytes()
+        with pytest.raises(MalformedTable, match=re.escape(f"{table}: malformed table record")):
+            self._runner(snap)
+        assert (snap / "state.json").read_bytes() == state
 
     def test_config_mismatch_on_resume_rejected(self, tmp_path):
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "evaluate"))
         with pytest.raises(Exception):
-            run_ibt(
+            IbtRunner(
                 build_seed_parallel(),
                 build_mono_corpus(),
                 TemplateBackend(),
@@ -620,7 +635,7 @@ class TestResumability:
                 IbtConfig(iterations=3, beam=4, budget=10, workers_top_k=2),
                 judge_fn=c_only_judge,
                 snapshot_dir=snap,
-            )
+            ).run()
 
 
 class TestSharedAbstraction:

@@ -6,7 +6,6 @@ import re
 import sys
 import tempfile
 import threading
-import time
 import weakref
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,11 +25,11 @@ from ibtforge.translator import (
     Candidate,
     FORWARD,
     LineBeam,
+    MalformedTable,
     RemoteBackend,
     TemplateBackend,
     TrainingRejected,
     TranslationRequest,
-    TranslatorError,
     _abstract_pair,
     _lex,
     _render,
@@ -457,7 +456,7 @@ class TestTrieMatching:
             trained_backend.save_state(path)
             backend = TemplateBackend()
             backend.load_state(path)
-            assert backend.table_size(FORWARD) == 3  # the parse builds both tries
+            assert backend.table_size(FORWARD) == 3  # load_state builds both tries
         build = translator_module._build_trie
         builds = []
 
@@ -619,7 +618,7 @@ class TestSharedMemoLifetime:
         assert counted[("x = 1 ;", "set x to 1")] == 2
 
 
-class TestDeferredParse:
+class TestLoadState:
     @pytest.fixture
     def parses(self, monkeypatch):
         """The name of each table file parsed."""
@@ -638,9 +637,9 @@ class TestDeferredParse:
         trained_backend.save_state(path)
         restored = TemplateBackend()
         restored.load_state(path)
+        assert parses == [str(path)]
         TemplateBackend().save_state(path)
         req = TranslationRequest(BACKWARD, ("set y to 3", "print y"), 3)
-        assert parses == []
         assert restored.translate(req) == trained_backend.translate(req)
         assert parses == [str(path)]
 
@@ -678,62 +677,23 @@ class TestDeferredParse:
             '["forward"]',
         ],
     )
-    def test_malformed_table_is_refused_at_first_use(self, trained_backend, tmp_path, line):
+    def test_malformed_table_is_refused_at_load(self, trained_backend, tmp_path, line):
         path = tmp_path / "bad.table.jsonl"
         trained_backend.save_state(path)
+        saved = path.read_bytes()
         path.write_text(path.read_text() + line + "\n")
-        backend = TemplateBackend()
-        backend.load_state(path)
-        req = TranslationRequest(FORWARD, ("x = 1 ;",), 1)
         refused = re.escape(f"{path}: malformed table record on line 7")
-        for use in (
-            lambda: backend.translate(req),
-            lambda: backend.table_size(FORWARD),
-            lambda: backend.save_state(tmp_path / "out.jsonl"),
-            lambda: backend.fine_tune(
-                [make_pair_sample("s:2:1", 1, ["y = 2 ;"], ["set y to 2"])], FORWARD, {}
-            ),
-        ):
-            with pytest.raises(TranslatorError, match=refused):
-                use()
-        assert not (tmp_path / "out.jsonl").exists()
+        with pytest.raises(MalformedTable, match=refused):
+            trained_backend.load_state(path)
+        # the refused load left the tables, and the tries, as they were
+        trained_backend.save_state(path)
+        assert path.read_bytes() == saved
+        req = TranslationRequest(FORWARD, ("x = 7 ;",), 1)
+        assert trained_backend.translate(req)[0].top.text == "set x to 7"
 
     def test_missing_table_is_refused_at_load(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             TemplateBackend().load_state(tmp_path / "nope.jsonl")
-
-    def test_concurrent_translates_parse_once(self, trained_backend, tmp_path, monkeypatch):
-        path = tmp_path / "t.jsonl"
-        trained_backend.save_state(path)
-        parse = translator_module._parse_table
-        parses = []
-
-        def slow_parse(name, text):
-            parses.append(threading.get_ident())
-            time.sleep(0.05)
-            return parse(name, text)
-
-        monkeypatch.setattr(translator_module, "_parse_table", slow_parse)
-        backend = TemplateBackend()
-        backend.load_state(path)
-        req = TranslationRequest(FORWARD, ("x = 7 ;", "cout << y ;", "return 0 ;"), 3)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=lambda: results.append(backend.translate(req)))
-                for _ in range(6)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(parses) == 1
-        assert len(results) == 6 and all(r == trained_backend.translate(req) for r in results)
 
 
 def _to_record(direction, source, target):
@@ -747,7 +707,6 @@ def _to_record(direction, source, target):
 def json_dumps_table(backend):
     """The table file as ``json.dumps`` of one record dict per template: the
     reference for ``save_state``'s bytes."""
-    backend.table_size(FORWARD)  # parses a table loaded but not yet used
     return "".join(
         json.dumps(_to_record(direction, *template), sort_keys=True, separators=(",", ":")) + "\n"
         for direction in (FORWARD, BACKWARD)
@@ -1044,6 +1003,13 @@ class TestRemoteBackend:
         with pytest.raises(BackendProtocolError, match="not a JSON object|not an object"):
             _fast_backend(url).translate(TranslationRequest(FORWARD, ("a",), 1))
         assert len(state.requests) == 1
+
+    @pytest.mark.parametrize("candidates", [5, None, {}, {"text": "a", "score": 0}])
+    def test_non_list_candidates_is_protocol_error(self, stub_server, candidates):
+        url, state = stub_server
+        state.replies["/translate"] = {"beams": [{"candidates": candidates}]}
+        with pytest.raises(BackendProtocolError, match="candidates are not a list"):
+            _fast_backend(url).translate(TranslationRequest(FORWARD, ("a",), 1))
 
     @pytest.mark.parametrize("path", ["/finetune", "/status/job-1"])
     def test_non_object_training_reply_is_protocol_error(self, stub_server, path):
