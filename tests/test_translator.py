@@ -399,6 +399,11 @@ fine_tune_calls = st.lists(
 )
 
 
+def _trie_size(node):
+    """The number of nodes in a trie."""
+    return 1 + sum(map(_trie_size, [*node.lits.values(), *node.slots.values()]))
+
+
 class TestTrieMatching:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -442,11 +447,16 @@ class TestTrieMatching:
                     language=sample.language if config["pl_prefix"] else None,
                 )
                 lines += [(direction, apply_prefix(prefix, l) if prefix and l else l) for l in source]
-            # translate between fine-tunes, so a stale trie would show
+            # translate between fine-tunes, so a stale trie would show; a
+            # backend that loads the saved table builds its trie in table
+            # order, so it shows whether shadowing re-inserts, which leave
+            # trie siblings in another order, change a beam
             direction = data.draw(st.sampled_from([FORWARD, BACKWARD]))
             mine = [l for d, l in lines if d == direction] or ["x = 1 ;"]
             req = TranslationRequest(direction, tuple(mine), 3)
-            assert backend.translate(req) == linear_scan_translate(backend, req)
+            beams = backend.translate(req)
+            assert beams == linear_scan_translate(backend, req)
+            assert _load(_saved_records(backend)[0]).translate(req) == beams
 
     @pytest.mark.parametrize("source", ["fine_tune", "load_state"])
     def test_concurrent_translates_build_no_trie(self, trained_backend, tmp_path, monkeypatch, source):
@@ -457,14 +467,16 @@ class TestTrieMatching:
             backend = TemplateBackend()
             backend.load_state(path)
             assert backend.table_size(FORWARD) == 3  # load_state builds both tries
-        build = translator_module._build_trie
-        builds = []
+        tries = dict(backend._tries)
+        nodes = {d: _trie_size(t) for d, t in tries.items()}
+        insert = translator_module._insert
+        inserts = []
 
-        def counting_build(table):
-            builds.append(threading.get_ident())
-            return build(table)
+        def counting_insert(root, source, target):
+            inserts.append(threading.get_ident())
+            insert(root, source, target)
 
-        monkeypatch.setattr(translator_module, "_build_trie", counting_build)
+        monkeypatch.setattr(translator_module, "_insert", counting_insert)
         req = TranslationRequest(FORWARD, ("x = 7 ;", "cout << y ;", "return 0 ;"), 3)
         results = []
         interval = sys.getswitchinterval()
@@ -481,7 +493,9 @@ class TestTrieMatching:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert builds == []
+        assert inserts == []
+        assert all(backend._tries[d] is tries[d] for d in (FORWARD, BACKWARD))
+        assert {d: _trie_size(t) for d, t in backend._tries.items()} == nodes
         assert len(results) == 6 and all(r == results[0] for r in results)
         assert results[0] == linear_scan_translate(backend, req)
 
@@ -673,6 +687,7 @@ class TestLoadState:
             '{"direction":"forward","source":[["foo","x","y"]],"target":[]}',
             '{"direction":"forward","source":[["lit","a","b"]],"target":[]}',
             '{"direction":"forward","source":[["lit","a"]],"target":[["slot","0","ID"]]}',
+            '{"direction":"forward","source":[["slot",true,"ID"]],"target":[]}',
             '{"direction":"forward","source":"lit","target":[]}',
             '["forward"]',
         ],
@@ -731,6 +746,19 @@ def odd_tables(draw):
                 for e in rec[side]
             ]
     return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    elems=st.lists(
+        st.one_of(
+            st.tuples(st.just("lit"), odd_texts),
+            st.tuples(st.just("slot"), st.integers(min_value=10), st.sampled_from(sorted(RUNS))),
+        )
+    )
+)
+def test_encode_is_json_dumps(elems):
+    assert translator_module._encode(elems) == json.dumps(elems, separators=(",", ":"))
 
 
 class TestTableFile:
