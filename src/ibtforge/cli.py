@@ -29,6 +29,7 @@ from .corpus import (
     IngestStats,
     load_mono,
     load_parallel,
+    read_manifest,
     save_mono,
     save_parallel,
     write_manifest,
@@ -192,13 +193,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     stats = IngestStats()
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    # the new file's entry joins those of the files ingested before it
+    entries = read_manifest(out_path.parent)
     if args.kind == "parallel":
         samples = ingest_parallel(args.path, stats=stats)
-        save_parallel(samples, out_path)
+        entries[out_path.name] = save_parallel(samples, out_path)
     else:
         samples = ingest_mono(args.path, stats=stats)
-        save_mono(samples, out_path)
-    write_manifest(out_path.parent, [out_path])
+        entries[out_path.name] = save_mono(samples, out_path)
+    write_manifest(out_path.parent, entries)
     record = {
         "kind": args.kind,
         "out": str(out_path),

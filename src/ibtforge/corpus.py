@@ -12,7 +12,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator
 
 from .lexer import canonicalize, strip_comments
 
@@ -333,17 +333,20 @@ def validate_disjoint(parallel: Iterable[ParallelSample], mono: Iterable[MonoSam
 # ---------------------------------------------------------------------------
 # Snapshots: line-delimited JSON plus a manifest with counts and hashes
 
+_CHUNK = 1 << 16
+
 
 @contextmanager
-def atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Open ``path`` for writing text so that it is replaced whole or not at
-    all: the text goes to ``<name>.tmp``, which is renamed over ``path`` when
-    the block exits cleanly and deleted when it raises. A killed process
-    leaves at worst a stray ``.tmp`` file, never a torn ``path``."""
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open ``path`` for writing (text, or bytes with ``mode="wb"``) so that
+    it is replaced whole or not at all: the data goes to ``<name>.tmp``,
+    which is renamed over ``path`` when the block exits cleanly and deleted
+    when it raises. A killed process leaves at worst a stray ``.tmp`` file,
+    never a torn ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -351,22 +354,42 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _dump_records(records: Iterable[dict], path: Path) -> int:
+def _dump_records(
+    records: Iterable[dict], path: str | Path, prefix: str | Path | None = None
+) -> dict:
+    """Write one JSON record per line, after the bytes of ``prefix`` when it
+    is given, and return the file's manifest entry: its record count and the
+    sha256 of the bytes written."""
+    digest = hashlib.sha256()
     count = 0
-    with atomic_open(path) as fh:
+    with atomic_open(path, "wb") as fh:
+        if prefix is not None:
+            with open(prefix, "rb") as src:
+                for chunk in iter(lambda: src.read(_CHUNK), b""):
+                    digest.update(chunk)
+                    fh.write(chunk)
+                    count += chunk.count(b"\n")
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            line = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+            digest.update(line)
+            digest.update(b"\n")
+            fh.write(line)
+            fh.write(b"\n")
             count += 1
-    return count
+    return {"count": count, "sha256": digest.hexdigest()}
 
 
-def save_parallel(samples: Iterable[ParallelSample], path: str | Path) -> int:
-    return _dump_records((s.to_record() for s in samples), Path(path))
+def save_parallel(
+    samples: Iterable[ParallelSample], path: str | Path, prefix: str | Path | None = None
+) -> dict:
+    """Write ``samples`` to ``path``, after the bytes of the snapshot file
+    ``prefix`` when it is given; return the file's manifest entry."""
+    return _dump_records((s.to_record() for s in samples), path, prefix)
 
 
-def save_mono(samples: Iterable[MonoSample], path: str | Path) -> int:
-    return _dump_records((s.to_record() for s in samples), Path(path))
+def save_mono(samples: Iterable[MonoSample], path: str | Path) -> dict:
+    """Write ``samples`` to ``path``; return the file's manifest entry."""
+    return _dump_records((s.to_record() for s in samples), path)
 
 
 def _load_records(path: Path) -> list[dict]:
@@ -387,24 +410,32 @@ def load_mono(path: str | Path) -> list[MonoSample]:
     return [MonoSample.from_record(r) for r in _load_records(Path(path))]
 
 
-def _sha256(path: Path) -> str:
+def file_entry(path: str | Path) -> dict:
+    """The manifest entry of a file read back from disk: its non-blank lines
+    and its sha256."""
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    count = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            digest.update(line)
+            count += bool(line.strip())
+    return {"count": count, "sha256": digest.hexdigest()}
 
 
-def write_manifest(directory: str | Path, files: Iterable[str | Path]) -> Path:
-    """Record per-file line counts and content hashes in ``manifest.json``."""
-    directory = Path(directory)
-    entries = {}
-    for f in files:
-        f = Path(f)
-        with f.open(encoding="utf-8") as fh:
-            count = sum(1 for line in fh if line.strip())
-        entries[f.name] = {"count": count, "sha256": _sha256(f)}
-    manifest = directory / "manifest.json"
+def read_manifest(directory: str | Path) -> dict[str, dict]:
+    """The entries of ``directory``'s ``manifest.json``, by file name; none
+    when it is missing or unreadable."""
+    try:
+        files = json.loads((Path(directory) / "manifest.json").read_text(encoding="utf-8"))["files"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return {}
+    return files if isinstance(files, dict) else {}
+
+
+def write_manifest(directory: str | Path, entries: dict[str, dict]) -> Path:
+    """Write ``entries`` (file name -> record count and sha256) to
+    ``directory``'s ``manifest.json``; no listed file is read."""
+    manifest = Path(directory) / "manifest.json"
     payload = {"schema_version": 1, "files": entries}
     with atomic_open(manifest) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -24,9 +24,11 @@ from .corpus import (
     MonoSample,
     ParallelSample,
     atomic_open,
+    file_entry,
     load_mono,
     load_parallel,
     move_to_parallel,
+    read_manifest,
     save_mono,
     save_parallel,
     validate_disjoint,
@@ -172,6 +174,9 @@ class IbtRunner:
         self.completed_phase: str | None = None
         self.finished = False
         self._outcomes: dict | None = None
+        # manifest entries of the corpus files, read from manifest.json when
+        # the first snapshot is written and kept up to date from then on
+        self._entries: dict[str, dict] | None = None
         self._iter_started = time.monotonic()
 
         if resuming:
@@ -190,16 +195,29 @@ class IbtRunner:
             self.snapshot_dir / f"corpus.Y.{iteration}.jsonl",
         )
 
-    def _snapshot_corpora(self, iteration: int) -> None:
+    def _snapshot_corpora(self, iteration: int, appended_from: int | None = None) -> None:
+        """Write D and Y as ``iteration``'s snapshot and list every corpus
+        file in the manifest. With ``appended_from``, D is only appended to
+        since the snapshot of the current iteration: the new D begins with
+        that file's bytes, and only the samples from ``appended_from`` on are
+        encoded."""
         if self.snapshot_dir is None:
             return
         d_path, y_path = self._corpus_paths(iteration)
-        save_parallel(self.parallel, d_path)
-        save_mono(self.mono, y_path)
-        write_manifest(
-            self.snapshot_dir,
-            sorted(self.snapshot_dir.glob("corpus.*.jsonl")),
-        )
+        entries = self._entries if self._entries is not None else read_manifest(self.snapshot_dir)
+        if appended_from is None:
+            entries[d_path.name] = save_parallel(self.parallel, d_path)
+        else:
+            previous = self._corpus_paths(self.iteration)[0]
+            entries[d_path.name] = save_parallel(self.parallel[appended_from:], d_path, previous)
+        entries[y_path.name] = save_mono(self.mono, y_path)
+        # a corpus file that neither this runner nor manifest.json accounts
+        # for is hashed from disk, once
+        self._entries = {
+            path.name: entries.get(path.name) or file_entry(path)
+            for path in sorted(self.snapshot_dir.glob("corpus.*.jsonl"))
+        }
+        write_manifest(self.snapshot_dir, self._entries)
 
     def _save_backend(self, direction: str) -> None:
         """Write the table of the backend that trained in ``direction``; a
@@ -345,6 +363,7 @@ class IbtRunner:
         passes = {entry[0]: entry[1] for entry in self._outcomes["passes"]}
         quarantined_ids = {entry[0] for entry in self._outcomes["quarantined"]}
         remaining: list[MonoSample] = []
+        appended_from = len(self.parallel)
         for sample in self.mono:
             if sample.id in passes:
                 for worker, pseudo_lines in passes[sample.id]:
@@ -357,7 +376,7 @@ class IbtRunner:
         for entry in self._outcomes["quarantined"]:
             self.quarantined.append((entry[0], entry[1]))
         validate_disjoint(self.parallel, self.mono)
-        self._snapshot_corpora(self.iteration + 1)
+        self._snapshot_corpora(self.iteration + 1, appended_from)
 
     def _phase_report(self) -> None:
         """Report the iteration, then move on to the next one."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -90,6 +91,26 @@ class TestIngestCommand:
         out = tmp_path / "Y.jsonl"
         assert main(["ingest", "mono", str(tmp_path / "problems"), "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 1
+
+    def test_second_ingest_keeps_the_first_manifest_entry(self, tmp_path):
+        tsv = tmp_path / "c.tsv"
+        tsv.write_text(HEADER + "set x\tx=1;\t4\tp1\ts1\t0\n", encoding="utf-8")
+        pdir = tmp_path / "problems" / "p1"
+        pdir.mkdir(parents=True)
+        (pdir / "main.c").write_text("int main(){return 0;}\n")
+        (pdir / "input_0.txt").write_bytes(b"")
+        (pdir / "output_0.txt").write_bytes(b"")
+        snap = tmp_path / "snap"
+        for kind, source, name in (
+            ("parallel", tsv, "corpus.D.jsonl"),
+            ("mono", tmp_path / "problems", "corpus.Y.jsonl"),
+        ):
+            assert main(["ingest", kind, str(source), "--out", str(snap / name)]) == EXIT_OK
+        files = json.loads((snap / "manifest.json").read_text())["files"]
+        assert sorted(files) == ["corpus.D.jsonl", "corpus.Y.jsonl"]
+        for name, entry in files.items():
+            data = (snap / name).read_bytes()
+            assert entry == {"count": 1, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 # a value other than the default for every configurable field

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibtforge.corpus import (
     CorpusError,
@@ -12,11 +16,13 @@ from ibtforge.corpus import (
     ParallelSample,
     TestCase,
     discover_tests,
+    file_entry,
     ingest_mono,
     ingest_parallel,
     load_mono,
     load_parallel,
     move_to_parallel,
+    read_manifest,
     save_mono,
     save_parallel,
     validate_disjoint,
@@ -198,7 +204,7 @@ class TestPersistence:
 
     def test_manifest_counts_and_hash(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        save_parallel(
+        entry = save_parallel(
             [
                 ParallelSample(
                     id="a:1:1",
@@ -210,9 +216,20 @@ class TestPersistence:
             ],
             path,
         )
-        manifest = json.loads(write_manifest(tmp_path, [path]).read_text())
-        assert manifest["files"]["d.jsonl"]["count"] == 1
-        assert len(manifest["files"]["d.jsonl"]["sha256"]) == 64
+        assert entry == {"count": 1, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert file_entry(path) == entry
+        # the manifest is written from the entries alone: a listed file that
+        # is not there is not read
+        entries = {"d.jsonl": entry, "gone.jsonl": {"count": 0, "sha256": "0" * 64}}
+        manifest = write_manifest(tmp_path, entries)
+        assert json.loads(manifest.read_text())["files"] == entries
+        assert read_manifest(tmp_path) == entries
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"files": 3}', "[]"])
+    def test_missing_or_unreadable_manifest_has_no_entries(self, tmp_path, content):
+        if content is not None:
+            (tmp_path / "manifest.json").write_text(content)
+        assert read_manifest(tmp_path) == {}
 
     def test_failed_save_leaves_the_previous_file(self, tmp_path):
         def sample(n):
@@ -232,3 +249,44 @@ class TestPersistence:
             save_parallel(two_samples_then_a_fault(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+
+_texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_bytes = st.binary(max_size=8)
+_samples = st.lists(
+    st.builds(
+        lambda n, lines, tests: ParallelSample(
+            id=f"p:{n}:1",
+            language="c",
+            worker=n,
+            code_lines=[code for code, _ in lines],
+            pseudo_lines=[pseudo for _, pseudo in lines],
+            tests=[TestCase(input=i, expected_output=o) for i, o in tests],
+        ),
+        st.integers(0, 99),
+        st.lists(st.tuples(_texts, _texts), min_size=1, max_size=3),
+        st.lists(st.tuples(_bytes, _bytes), max_size=2),
+    ),
+    max_size=4,
+)
+
+
+class TestPrefixedSave:
+    @settings(max_examples=60, deadline=None)
+    @given(a=_samples, b=_samples)
+    def test_prefix_then_rest_equals_the_whole(self, a, b):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, extended, whole = (Path(tmp) / name for name in ("a", "ab", "whole"))
+            save_parallel(a, first)
+            before = first.read_bytes()
+            entry = save_parallel(b, extended, first)
+            assert entry == save_parallel(a + b, whole)
+            assert extended.read_bytes() == whole.read_bytes()
+            assert first.read_bytes() == before
+            assert file_entry(extended) == entry
+            assert load_parallel(extended) == a + b
+
+    def test_missing_prefix_leaves_no_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            save_parallel([], tmp_path / "d.jsonl", tmp_path / "nope.jsonl")
+        assert list(tmp_path.iterdir()) == []

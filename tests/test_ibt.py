@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import builtins
 import gc
+import hashlib
+import io
 import json
+import os
 import re
 import threading
 import time
@@ -426,17 +430,100 @@ class TestResumability:
             for p in snap.glob(pattern)
         }
 
+    @staticmethod
+    def _manifest_is_fresh(snap):
+        """``manifest.json`` is, byte for byte, every corpus file's record
+        count and sha256 recomputed from disk; returns its text."""
+        fresh = {}
+        for path in sorted(snap.glob("corpus.*.jsonl")):
+            data = path.read_bytes()
+            fresh[path.name] = {
+                "count": sum(1 for line in data.splitlines() if line.strip()),
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }
+        text = (snap / "manifest.json").read_text()
+        payload = {"schema_version": 1, "files": fresh}
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return text
+
     def test_stop_and_resume_at_every_phase_boundary(self, tmp_path):
         baseline = self._normalized(self._run(tmp_path / "clean"))
         files = self._corpora_and_tables(tmp_path / "clean")
         assert len(files) == 2 * (CFG.iterations + 1) + 2
+        manifest = self._manifest_is_fresh(tmp_path / "clean")
         for n, boundary in enumerate(BOUNDARIES):
             snap = tmp_path / f"snap{n}"
             partial = self._run(snap, stop_after=boundary)
             assert len(partial) <= len(baseline)
+            self._manifest_is_fresh(snap)
             resumed = self._run(snap)
             assert self._normalized(resumed) == baseline
             assert self._corpora_and_tables(snap) == files, boundary
+            assert self._manifest_is_fresh(snap) == manifest, boundary
+
+    @pytest.mark.parametrize("iteration", range(CFG.iterations))
+    def test_kill_during_augment_rebuilds_d_from_the_previous_snapshot(
+        self, tmp_path, monkeypatch, iteration
+    ):
+        clean = tmp_path / "clean"
+        self._run(clean)
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(iteration, "evaluate"))
+        d_next = snap / f"corpus.D.{iteration + 1}.jsonl"
+
+        def killed(samples, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ibt_module, "save_mono", killed)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(snap)
+        monkeypatch.undo()
+        assert d_next.read_bytes() == (clean / d_next.name).read_bytes()
+        # the rebuilt file must come from corpus.D.<iteration>, and its entry
+        # must replace whatever the manifest holds for it
+        d_next.write_bytes(b"torn\n")
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["files"][d_next.name] = {"count": 1, "sha256": "0" * 64}
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        self._run(snap)
+        assert d_next.read_bytes() == (clean / d_next.name).read_bytes()
+        assert self._manifest_is_fresh(snap) == (clean / "manifest.json").read_text()
+
+    def test_recovering_a_finished_run_reads_only_state_and_corpora(self, tmp_path, monkeypatch):
+        snap = tmp_path / "s"
+        reports = self._run(snap)
+        last = len(reports)
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(os.path.basename(os.fspath(file)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        self._run(snap)
+        monkeypatch.undo()
+        assert sorted(opened) == sorted(
+            ["state.json", f"corpus.D.{last}.jsonl", f"corpus.Y.{last}.jsonl"]
+        )
+
+    def test_unlisted_corpus_file_is_hashed_once(self, tmp_path, monkeypatch):
+        snap = tmp_path / "s"
+        snap.mkdir()
+        (snap / "corpus.extra.jsonl").write_text('{"a":1}\n\n{"b":2}\n')
+        hashed = []
+        real_entry = ibt_module.file_entry
+
+        def counting_entry(path):
+            hashed.append(path.name)
+            return real_entry(path)
+
+        monkeypatch.setattr(ibt_module, "file_entry", counting_entry)
+        self._run(snap)
+        assert hashed == ["corpus.extra.jsonl"]
+        files = json.loads(self._manifest_is_fresh(snap))["files"]
+        assert files["corpus.extra.jsonl"]["count"] == 2
 
     def test_state_file_round_trip(self, tmp_path):
         self._run(tmp_path / "s", stop_after=(0, "evaluate"))
