@@ -132,6 +132,8 @@ class MonoSample:
             raise ValueError(f"{self.id}: monolingual sample without test cases")
         if not self.code_lines:
             raise ValueError(f"{self.id}: sample has no lines")
+        if "" in self.code_lines:
+            raise ValueError(f"{self.id}: code line {self.code_lines.index('') + 1} is empty")
 
     def to_record(self) -> dict:
         return {

@@ -118,81 +118,88 @@ def _scan_literal(raw: str, start: int) -> tuple[str, int, bool]:
     return raw[start + 1 :], n, False
 
 
-def tokenize_line(raw: str) -> TokenizedLine:
-    """Tokenize a single source line (no embedded newline).
+def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
+    """The (text, kind) tokens of a single source line (no embedded
+    newline), and its diagnostics.
 
     Comments are stripped, multi-character operators are matched longest
     first, and literals become single tokens. An unterminated literal is
-    reported in ``diagnostics`` and kept verbatim as one literal token so
-    dirty corpus lines never halt the pipeline.
+    reported in the diagnostics, logged, and kept verbatim as one literal
+    token so dirty corpus lines never halt the pipeline.
     """
-    tokens: list[Token] = []
+    tokens: list[tuple[str, TokenKind]] = []
     diagnostics: list[str] = []
     i = 0
     expect_header = False
     while m := _TOKEN_RE.match(raw, i):
         group = m.lastgroup
-        start = m.start(group)
         i = m.end()
-        if group == "line_comment":
-            break
-        if group == "block_comment":
-            end = raw.find("*/", start + 2)
-            if end == -1:
-                break
-            i = end + 2
-            continue
-        c = raw[start]
-        if expect_header and c == "<":
-            close = raw.find(">", start + 1)
-            if close != -1:
-                name = "".join(raw[start + 1 : close].split())
-                tokens.append(Token("<" + name + ">", TokenKind.PREPROCESSOR))
-                i = close + 1
-                expect_header = False
+        if group == "word":
+            text = m[group]
+            tokens.append((text, TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER))
+        elif group == "number":
+            tokens.append((m[group], TokenKind.NUMBER))
+        elif group == "punct":
+            start = m.start(group)
+            c = raw[start]
+            if expect_header and c == "<":
+                close = raw.find(">", start + 1)
+                if close != -1:
+                    name = "".join(raw[start + 1 : close].split())
+                    tokens.append(("<" + name + ">", TokenKind.PREPROCESSOR))
+                    i = close + 1
+                    expect_header = False
+                    continue
+                # no closing '>': an ordinary punctuator
+            if c == "#" and not tokens:
+                d = _DIRECTIVE_RE.match(raw, start)
+                directive = d.group(1) or ""
+                tokens.append(("#" + directive, TokenKind.PREPROCESSOR))
+                i = d.end()
+                expect_header = directive in ("include", "include_next")
                 continue
-            # no closing '>': an ordinary punctuator
-        if group == "quote":
+            tokens.append((m[group], TokenKind.PUNCTUATOR))
+        elif group == "quote":
+            start = m.start(group)
+            c = raw[start]
             interior, i, closed = _scan_literal(raw, start)
             kind = TokenKind.STRING if c == '"' else TokenKind.CHAR
             if not closed:
                 diagnostics.append(f"unterminated literal at column {i - len(interior)}")
-                tokens.append(Token(c + interior, kind))
+                tokens.append((c + interior, kind))
             elif expect_header and c == '"':
                 # quoted header-name: keep verbatim, no boundary padding
-                tokens.append(Token(c + interior + c, kind))
+                tokens.append((c + interior + c, kind))
             else:
-                tokens.append(Token(c + _pad_interior(interior) + c, kind))
-            expect_header = False
+                tokens.append((c + _pad_interior(interior) + c, kind))
+        elif group == "line_comment":
+            break
+        else:  # a block comment, which leaves a pending header name pending
+            end = raw.find("*/", i)
+            if end == -1:
+                break
+            i = end + 2
             continue
         expect_header = False
-        text = m.group(group)
-        if group == "word":
-            tokens.append(
-                Token(text, TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER)
-            )
-        elif group == "number":
-            tokens.append(Token(text, TokenKind.NUMBER))
-        elif c == "#" and not tokens:
-            d = _DIRECTIVE_RE.match(raw, start)
-            directive = d.group(1) or ""
-            tokens.append(Token("#" + directive, TokenKind.PREPROCESSOR))
-            i = d.end()
-            expect_header = directive in ("include", "include_next")
-        else:
-            tokens.append(Token(text, TokenKind.PUNCTUATOR))
     if diagnostics:
         log.warning("tokenize_line: %s in %r", "; ".join(diagnostics), raw)
+    return tokens, diagnostics
+
+
+def tokenize_line(raw: str) -> TokenizedLine:
+    """Tokenize a single source line (no embedded newline) into ``Token``
+    objects, its canonical form and its diagnostics (see :func:`_scan`)."""
+    tokens, diagnostics = _scan(raw)
     return TokenizedLine(
-        tokens=tuple(tokens),
-        canonical=" ".join(t.text for t in tokens),
+        tokens=tuple(Token(text, kind) for text, kind in tokens),
+        canonical=" ".join([text for text, _ in tokens]),
         diagnostics=tuple(diagnostics),
     )
 
 
 def canonicalize(raw: str) -> str:
     """Render a line as its tokens joined by single spaces."""
-    return tokenize_line(raw).canonical
+    return " ".join([text for text, _ in _scan(raw)[0]])
 
 
 def unpad_literals(line: str) -> str:
@@ -202,9 +209,8 @@ def unpad_literals(line: str) -> str:
     canonical line is materialized into compilable source text.
     """
     rendered: list[str] = []
-    for tok in tokenize_line(line).tokens:
-        text = tok.text
-        if tok.kind in (TokenKind.STRING, TokenKind.CHAR) and len(text) >= 2 and text[-1] == text[0]:
+    for text, kind in _scan(line)[0]:
+        if kind in (TokenKind.STRING, TokenKind.CHAR) and len(text) >= 2 and text[-1] == text[0]:
             interior = text[1:-1]
             if len(interior) >= 2 and interior[0] == " " and interior[-1] == " ":
                 text = text[0] + interior[1:-1] + text[0]

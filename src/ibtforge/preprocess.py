@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .lexer import TokenKind, canonicalize, tokenize_line
+from .lexer import _scan, canonicalize
 
 LANGUAGES = ("cpp", "c")
 
@@ -67,12 +67,9 @@ def strip_prefix(line: str) -> tuple[Prefix, str]:
 
 
 def count_newline_keywords(code_line: str) -> int:
-    """Occurrences of the ``endl`` token outside string/char literals."""
-    return sum(
-        1
-        for tok in tokenize_line(code_line).tokens
-        if tok.text == "endl" and tok.kind not in (TokenKind.STRING, TokenKind.CHAR)
-    )
+    """Occurrences of the ``endl`` token outside string/char literals (a
+    literal token keeps its quotes, so it never reads ``endl``)."""
+    return sum(text == "endl" for text, _ in _scan(code_line)[0])
 
 
 def rewrite_endl(code_line: str, pseudo_line: str) -> str:

@@ -23,7 +23,7 @@ from typing import Iterable, Protocol, Sequence
 import requests
 
 from .corpus import MonoSample, ParallelSample, atomic_open
-from .lexer import TokenKind, canonicalize, tokenize_line
+from .lexer import TokenKind, _scan, canonicalize
 from .preprocess import Prefix, apply_prefix, strip_prefix
 
 log = logging.getLogger(__name__)
@@ -131,10 +131,11 @@ _SLOT_KINDS = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
 def _lex(line: str) -> list[tuple[str, str | None]]:
     """Tokenize a (possibly tagged) line into (text, slot-class) pairs where
     slot-class is "ID"/"NUM" for abstractable tokens and None otherwise."""
-    prefix, rest = strip_prefix(line)
-    toks: list[tuple[str, str | None]] = [(t, None) for t in prefix.render().split()]
-    for tok in tokenize_line(rest).tokens:
-        toks.append((tok.text, _SLOT_KINDS.get(tok.kind)))
+    toks: list[tuple[str, str | None]] = []
+    if line[:1] == "<":
+        prefix, line = strip_prefix(line)
+        toks = [(t, None) for t in prefix.render().split()]
+    toks += [(text, _SLOT_KINDS.get(kind)) for text, kind in _scan(line)[0]]
     return toks
 
 
@@ -156,99 +157,71 @@ _Shape = tuple[tuple[Elem, ...], tuple[Elem, ...]]
 _Table = dict[tuple[Elem, ...], tuple[Elem, ...]]
 
 
-def _maximal_runs(toks: list[tuple[str, str | None]]) -> list[tuple[int, int]]:
-    """(start, end) spans of maximal consecutive abstractable tokens."""
-    runs = []
-    i = 0
-    while i < len(toks):
-        if toks[i][1] is None:
-            i += 1
-            continue
-        j = i
-        while j < len(toks) and toks[j][1] is not None:
-            j += 1
-        runs.append((i, j))
-        i = j
-    return runs
-
-
-def _find_subseq(haystack: list[str], needle: tuple[str, ...], start: int = 0) -> int:
-    n = len(needle)
-    for i in range(start, len(haystack) - n + 1):
-        if tuple(haystack[i : i + n]) == needle:
-            return i
-    return -1
-
-
 def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
     """Abstract an aligned pair into the (code, pseudocode) elements of a
     slot template; the backward template is the same pair swapped.
 
     Slot spans are the maximal identifier/number runs of the code side (its
     punctuation segments them naturally); a run that also occurs on the
-    pseudocode side becomes a shared slot. If the occurrence counts of the
-    slotted spans disagree between the two sides the pair is kept verbatim.
+    pseudocode side becomes a shared slot, numbered in order of first
+    occurrence. The pseudocode side is then slotted left to right, longest
+    slot value first. If the occurrence counts of the slots disagree between
+    the two sides the pair is kept verbatim.
     """
     code = _lex(code_line)
-    pseudo = _lex(pseudo_line)
-    code_texts = [t for t, _ in code]
-    pseudo_texts = [t for t, _ in pseudo]
-    runs = _maximal_runs(code)
-    slot_of: dict[tuple[str, ...], int] = {}
-    slot_class: dict[int, str] = {}
-    for start, end in runs:
-        value = tuple(code_texts[start:end])
-        if value in slot_of:
-            continue
-        if _find_subseq(pseudo_texts, value) != -1:
-            idx = len(slot_of)
-            slot_of[value] = idx
-            slot_class[idx] = _run_class([c for _, c in code[start:end]])
+    pseudo = [t for t, _ in _lex(pseudo_line)]
+    # where each pseudocode token occurs: a run is looked for only at the
+    # positions of its first token
+    positions: dict[str, list[int]] = {}
+    for i, t in enumerate(pseudo):
+        positions.setdefault(t, []).append(i)
 
-    def verbatim() -> _Shape:
-        return tuple(("lit", t) for t in code_texts), tuple(("lit", t) for t in pseudo_texts)
-
-    if not slot_of:
-        return verbatim()
-
+    slot_of: dict[tuple[str, ...], Elem] = {}
     code_elems: list[Elem] = []
-    code_counts: dict[int, int] = {}
-    i = 0
-    run_bounds = dict(runs)
-    while i < len(code):
-        if i in run_bounds:
-            value = tuple(code_texts[i : run_bounds[i]])
-            if value in slot_of:
-                idx = slot_of[value]
-                code_elems.append(("slot", idx, slot_class[idx]))
-                code_counts[idx] = code_counts.get(idx, 0) + 1
-                i = run_bounds[i]
-                continue
-        code_elems.append(("lit", code_texts[i]))
-        i += 1
-
-    # replace left-to-right on the pseudocode side, longest spans first
-    by_len = sorted(slot_of, key=lambda v: (-len(v), slot_of[v]))
-    pseudo_elems: list[Elem] = []
-    pseudo_counts: dict[int, int] = {}
-    i = 0
-    while i < len(pseudo):
-        matched = False
-        for value in by_len:
-            if tuple(pseudo_texts[i : i + len(value)]) == value:
-                idx = slot_of[value]
-                pseudo_elems.append(("slot", idx, slot_class[idx]))
-                pseudo_counts[idx] = pseudo_counts.get(idx, 0) + 1
-                i += len(value)
-                matched = True
-                break
-        if not matched:
-            pseudo_elems.append(("lit", pseudo_texts[i]))
+    i, n = 0, len(code)
+    while i < n:
+        text, cls = code[i]
+        if cls is None:
+            code_elems.append(("lit", text))
             i += 1
+            continue
+        start = i
+        while i < n and code[i][1] is not None:
+            i += 1
+        words = [t for t, _ in code[start:i]]
+        value = tuple(words)
+        slot = slot_of.get(value)
+        if slot is None and any(
+            pseudo[p : p + len(words)] == words for p in positions.get(text, ())
+        ):
+            run_class = _run_class([c for _, c in code[start:i]])
+            slot = slot_of[value] = ("slot", len(slot_of), run_class)
+        if slot is None:
+            code_elems += [("lit", t) for t in words]
+        else:
+            code_elems.append(slot)
 
-    if code_counts != pseudo_counts:
-        return verbatim()
-    return tuple(code_elems), tuple(pseudo_elems)
+    if slot_of:
+        # slot values by first token, longest first (two of one length
+        # cannot both match at one position)
+        by_first: dict[str, list[tuple[tuple[str, ...], Elem]]] = {}
+        for value, slot in sorted(slot_of.items(), key=lambda vs: -len(vs[0])):
+            by_first.setdefault(value[0], []).append((value, slot))
+        pseudo_elems: list[Elem] = []
+        i, n = 0, len(pseudo)
+        while i < n:
+            for value, slot in by_first.get(pseudo[i], ()):
+                if tuple(pseudo[i : i + len(value)]) == value:
+                    pseudo_elems.append(slot)
+                    i += len(value)
+                    break
+            else:
+                pseudo_elems.append(("lit", pseudo[i]))
+                i += 1
+        slots = sorted([e for e in code_elems if e[0] == "slot"])
+        if slots == sorted([e for e in pseudo_elems if e[0] == "slot"]):
+            return tuple(code_elems), tuple(pseudo_elems)
+    return tuple(("lit", t) for t, _ in code), tuple(("lit", t) for t in pseudo)
 
 
 class _AbstractionMemo:

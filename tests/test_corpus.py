@@ -202,6 +202,16 @@ class TestPersistence:
         save_mono([sample], path)
         assert load_mono(path) == [sample]
 
+    def test_load_mono_refuses_an_empty_code_line(self, tmp_path):
+        # an empty line cannot be prefixed for forward expansion, so it would
+        # otherwise stop the run at evaluate, after both fine-tunes
+        tests = [TestCase(input=b"", expected_output=b"").to_record()]
+        record = {"id": "p:blank", "code_lines": ["int main ( ) {", "", "}"], "tests": tests}
+        path = tmp_path / "y.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="p:blank: code line 2 is empty"):
+            load_mono(path)
+
     def test_manifest_counts_and_hash(self, tmp_path):
         path = tmp_path / "d.jsonl"
         entry = save_parallel(

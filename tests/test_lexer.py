@@ -18,6 +18,8 @@ from ibtforge.lexer import (
     tokenize_line,
     unpad_literals,
 )
+from ibtforge.preprocess import Prefix, apply_prefix, count_newline_keywords, strip_prefix
+from ibtforge.translator import _lex
 
 
 class TestGoldenLines:
@@ -330,6 +332,44 @@ _lines = st.builds(
 )
 
 
+def reference_callers(raw):
+    """What ``canonicalize``, ``unpad_literals``, ``count_newline_keywords``
+    and the translator's ``_lex`` return for ``raw``, derived from
+    ``reference_tokenize_line``."""
+    tokenized = reference_tokenize_line(raw)
+    unpadded = []
+    for tok in tokenized.tokens:
+        text = tok.text
+        if tok.kind in (TokenKind.STRING, TokenKind.CHAR) and len(text) >= 2 and text[-1] == text[0]:
+            interior = text[1:-1]
+            if len(interior) >= 2 and interior[0] == " " and interior[-1] == " ":
+                text = text[0] + interior[1:-1] + text[0]
+        unpadded.append(text)
+    endl = sum(
+        1
+        for tok in tokenized.tokens
+        if tok.text == "endl" and tok.kind not in (TokenKind.STRING, TokenKind.CHAR)
+    )
+    return tokenized.canonical, " ".join(unpadded), endl, reference_lex(raw)
+
+
+def reference_lex(line):
+    prefix, rest = strip_prefix(line)
+    slot = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
+    tags = [(t, None) for t in prefix.render().split()]
+    return tags + [(t.text, slot.get(t.kind)) for t in reference_tokenize_line(rest).tokens]
+
+
+def callers(raw):
+    return canonicalize(raw), unpad_literals(raw), count_newline_keywords(raw), _lex(raw)
+
+
+_prefixes = st.builds(
+    Prefix, worker=st.none() | st.integers(0, 20), language=st.none() | st.sampled_from(["cpp", "c"])
+)
+_dense = st.text(alphabet="#<>\"'/\\*. \t\r\n0123456789xXeEpPaAfFuUlL_+-=!&|:%^~(),;", max_size=30)
+
+
 class TestAgainstReference:
     @settings(max_examples=1500, deadline=None)
     @given(_lines)
@@ -337,9 +377,35 @@ class TestAgainstReference:
         assert tokenize_line(raw) == reference_tokenize_line(raw)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="#<>\"'/\\*. \t\r\n0123456789xXeEpPaAfFuUlL_+-=!&|:%^~(),;", max_size=30))
+    @given(_dense)
     def test_dense_punctuation_lexes_as_the_reference(self, raw):
         assert tokenize_line(raw) == reference_tokenize_line(raw)
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.one_of(_lines, _dense), _prefixes)
+    def test_callers_read_as_the_reference(self, raw, prefix):
+        assert callers(raw) == reference_callers(raw)
+        if raw:
+            tagged = apply_prefix(prefix, raw)
+            assert _lex(tagged) == reference_lex(tagged)
+
+    @pytest.mark.parametrize(
+        "call, raw",
+        [
+            (tokenize_line, "c = 'x"),
+            (canonicalize, "c = 'x"),
+            (unpad_literals, "c = 'x"),
+            (count_newline_keywords, "c = 'x"),
+            (_lex, "c = 'x"),
+            (_lex, "<pl:c> <w:3> c = 'x"),
+        ],
+    )
+    def test_each_caller_logs_an_unterminated_literal_once(self, call, raw, caplog):
+        with caplog.at_level(logging.WARNING, logger="ibtforge.lexer"):
+            call(raw)
+        assert [r.getMessage() for r in caplog.records] == [
+            "tokenize_line: unterminated literal at column 5 in \"c = 'x\""
+        ]
 
     @pytest.mark.parametrize(
         "raw",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import re
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
 import ibtforge.translator as translator_module
 from ibtforge.lexer import canonicalize
-from ibtforge.preprocess import Prefix, apply_prefix
+from ibtforge.preprocess import Prefix, apply_prefix, preprocess_sample
 from ibtforge.translator import (
     BACKWARD,
     BackendProtocolError,
@@ -276,9 +277,96 @@ def linear_scan_translate(backend, req):
     return beams
 
 
+def _reference_runs(toks):
+    """(start, end) spans of maximal consecutive abstractable tokens."""
+    runs = []
+    i = 0
+    while i < len(toks):
+        if toks[i][1] is None:
+            i += 1
+            continue
+        j = i
+        while j < len(toks) and toks[j][1] is not None:
+            j += 1
+        runs.append((i, j))
+        i = j
+    return runs
+
+
+def _reference_find(haystack, needle):
+    n = len(needle)
+    for i in range(len(haystack) - n + 1):
+        if tuple(haystack[i : i + n]) == needle:
+            return i
+    return -1
+
+
+def reference_abstract_pair(code_line, pseudo_line):
+    """``_abstract_pair`` as a search of the whole pseudocode line for each
+    code run, and a longest-first trial of every slot value at each
+    pseudocode position: the reference semantics of abstraction."""
+    code = _lex(code_line)
+    pseudo = _lex(pseudo_line)
+    code_texts = [t for t, _ in code]
+    pseudo_texts = [t for t, _ in pseudo]
+    runs = _reference_runs(code)
+    slot_of = {}
+    slot_class = {}
+    for start, end in runs:
+        value = tuple(code_texts[start:end])
+        if value in slot_of:
+            continue
+        if _reference_find(pseudo_texts, value) != -1:
+            idx = len(slot_of)
+            slot_of[value] = idx
+            slot_class[idx] = _run_class([c for _, c in code[start:end]])
+
+    def verbatim():
+        return tuple(("lit", t) for t in code_texts), tuple(("lit", t) for t in pseudo_texts)
+
+    if not slot_of:
+        return verbatim()
+
+    code_elems = []
+    code_counts = {}
+    i = 0
+    run_bounds = dict(runs)
+    while i < len(code):
+        if i in run_bounds:
+            value = tuple(code_texts[i : run_bounds[i]])
+            if value in slot_of:
+                idx = slot_of[value]
+                code_elems.append(("slot", idx, slot_class[idx]))
+                code_counts[idx] = code_counts.get(idx, 0) + 1
+                i = run_bounds[i]
+                continue
+        code_elems.append(("lit", code_texts[i]))
+        i += 1
+
+    by_len = sorted(slot_of, key=lambda v: (-len(v), slot_of[v]))
+    pseudo_elems = []
+    pseudo_counts = {}
+    i = 0
+    while i < len(pseudo):
+        for value in by_len:
+            if tuple(pseudo_texts[i : i + len(value)]) == value:
+                idx = slot_of[value]
+                pseudo_elems.append(("slot", idx, slot_class[idx]))
+                pseudo_counts[idx] = pseudo_counts.get(idx, 0) + 1
+                i += len(value)
+                break
+        else:
+            pseudo_elems.append(("lit", pseudo_texts[i]))
+            i += 1
+
+    if code_counts != pseudo_counts:
+        return verbatim()
+    return tuple(code_elems), tuple(pseudo_elems)
+
+
 class FreshAbstractionBackend(TemplateBackend):
     """``fine_tune`` without the memo: every prefixed line is abstracted
-    afresh on every call."""
+    afresh, by the reference, on every call."""
 
     def fine_tune(self, dataset, direction, config=None):
         config = dict(config or {})
@@ -292,11 +380,11 @@ class FreshAbstractionBackend(TemplateBackend):
                 if direction == FORWARD:
                     if prefix and code_line:
                         code_line = apply_prefix(prefix, code_line)
-                    source, target = _abstract_pair(code_line, pseudo_line)
+                    source, target = reference_abstract_pair(code_line, pseudo_line)
                 else:
                     if prefix and pseudo_line:
                         pseudo_line = apply_prefix(prefix, pseudo_line)
-                    target, source = _abstract_pair(code_line, pseudo_line)
+                    target, source = reference_abstract_pair(code_line, pseudo_line)
                 table.pop(source, None)
                 table[source] = target
 
@@ -522,6 +610,62 @@ class TestTrieMatching:
         TemplateBackend().save_state(path)
         trained_backend.load_state(path)
         assert trained_backend.translate(req)[0].top.score == NEG_INF
+
+
+# A few identifiers and numbers, so runs repeat and overlap on the pseudocode
+# side, and counts often disagree between the sides
+ABSTRACTION_TOKENS = ["a", "b", "c", "1", "2", "=", "+", ";", "(", ")", "int", "set", "to"]
+abstraction_lines = st.lists(st.sampled_from(ABSTRACTION_TOKENS), max_size=9).map(" ".join)
+
+
+def _workload_pairs():
+    """The preprocessed (code, pseudocode) pairs of the benchmark's seed
+    corpora, seed 4, each workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+        samples = [
+            preprocess_sample(s)
+            for name in ("judge-bound", "translate-bound", "resume")
+            for s in gen.generate(name, 4).parallel
+        ]
+    finally:
+        del sys.modules[spec.name]
+    return dict.fromkeys(p for s in samples for p in zip(s.code_lines, s.pseudo_lines))
+
+
+class TestAbstraction:
+    @settings(max_examples=1500, deadline=None)
+    @given(abstraction_lines, abstraction_lines, prefixes, st.sampled_from(["code", "pseudo", "both"]))
+    def test_abstracts_as_the_reference(self, code_line, pseudo_line, prefix, tagged):
+        assert _abstract_pair(code_line, pseudo_line) == reference_abstract_pair(code_line, pseudo_line)
+        if tagged != "pseudo" and code_line:
+            code_line = apply_prefix(prefix, code_line)
+        if tagged != "code" and pseudo_line:
+            pseudo_line = apply_prefix(prefix, pseudo_line)
+        assert _abstract_pair(code_line, pseudo_line) == reference_abstract_pair(code_line, pseudo_line)
+
+    @pytest.mark.parametrize(
+        "code_line, pseudo_line",
+        [
+            ("a b = b c ;", "set a b c"),  # runs that overlap in the pseudocode
+            ("a = a + 1 ;", "add 1 to a"),  # a count mismatch: kept verbatim
+            ("a b = a ;", "a b gets a"),  # the longer value is tried first
+            ("x = 1 ;", "print x"),  # a run with no pseudocode occurrence
+        ],
+    )
+    def test_edge_pairs(self, code_line, pseudo_line):
+        assert _abstract_pair(code_line, pseudo_line) == reference_abstract_pair(code_line, pseudo_line)
+
+    def test_workload_pairs_abstract_as_the_reference(self):
+        pairs = _workload_pairs()
+        assert len(pairs) > 2000
+        for code_line, pseudo_line in pairs:
+            expected = reference_abstract_pair(code_line, pseudo_line)
+            assert _abstract_pair(code_line, pseudo_line) == expected, (code_line, pseudo_line)
 
 
 class TestAbstractionMemo:
