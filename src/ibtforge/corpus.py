@@ -397,10 +397,13 @@ def save_mono(samples: Iterable[MonoSample], path: str | Path) -> dict:
 def _load_records(path: Path) -> list[dict]:
     records = []
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except ValueError as exc:
+                    raise MalformedRow(f"{path}:{lineno}: malformed record: {exc}") from None
     return records
 
 

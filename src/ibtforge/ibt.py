@@ -127,8 +127,8 @@ class IbtRunner:
 
     With a snapshot directory the runner is resumable: it records the last
     completed phase in ``state.json`` and re-enters the loop there, reloading
-    the corpora, and the backend tables the remaining phases use, from the
-    snapshot files.
+    the corpora from the snapshot files and replaying each completed
+    fine-tune on them; the table files it writes are never read back.
     """
 
     def __init__(
@@ -256,53 +256,65 @@ class IbtRunner:
             raise IbtError(f"cannot resume: snapshot file {path.name} is missing")
         return path
 
+    def _read_json(self, name: str) -> dict:
+        path = self._required(self.snapshot_dir / name)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise IbtError(f"cannot resume: snapshot file {name} is not JSON: {exc}") from None
+        if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
+            raise IbtError(f"cannot resume: snapshot file {name} is not schema {SCHEMA_VERSION}")
+        return payload
+
     def _resume(self) -> None:
-        """Restore the state, corpora, tables and evaluation that the last
-        completed phase left; refuse, naming the file, when one is missing.
-        The tables are loaded, and so checked, only when a phase still to
-        run fine-tunes or translates."""
+        """Restore the state, corpora and evaluation that the last completed
+        phase left; refuse, naming the file, when one is missing or
+        unreadable. When a phase still to run fine-tunes or translates, every
+        completed fine-tune is replayed, in run order, on its iteration's D."""
         assert self.snapshot_dir is not None
-        state = json.loads((self.snapshot_dir / "state.json").read_text(encoding="utf-8"))
-        if state.get("config") != self.cfg.to_record():
-            raise IbtError("snapshot was produced under a different configuration")
-        self.initial_mono_count = state["initial_mono_count"]
-        self.iteration = state["iteration"]
-        self.completed_phase = state["completed_phase"]
-        self.finished = state["finished"]
-        self.reports = [IterationReport(**r) for r in state["reports"]]
-        self.quarantined = [tuple(q) for q in state["quarantined"]]
+        state = self._read_json("state.json")
+        try:
+            if state["config"] != self.cfg.to_record():
+                raise IbtError("snapshot was produced under a different configuration")
+            self.initial_mono_count = state["initial_mono_count"]
+            self.iteration = state["iteration"]
+            self.completed_phase = state["completed_phase"]
+            self.finished = state["finished"]
+            self.reports = [IterationReport(**r) for r in state["reports"]]
+            self.quarantined = [tuple(q) for q in state["quarantined"]]
+        except (KeyError, TypeError) as exc:
+            raise IbtError(f"cannot resume: state.json is malformed: {exc!r}") from None
         done = self._done()
         d_path, y_path = self._corpus_paths(self.iteration + (done > PHASES.index("augment")))
         self.parallel = load_parallel(self._required(d_path))
         self.mono = load_mono(self._required(y_path))
-        # a finished run, or one past its last evaluation, has no phase left
-        # that fine-tunes or translates
-        used = not self.finished and (
-            done <= PHASES.index("evaluate") or self.iteration + 1 < self.cfg.iterations
-        )
-        for name, backend in (("forward", self.forward), ("backward", self.backward)):
-            load = getattr(backend, "load_state", None)
-            trained = self.iteration > 0 or done > PHASES.index(f"finetune-{name}")
-            if callable(load) and trained:
-                table = self._required(self.snapshot_dir / f"{name}.table.jsonl")
-                if used:
-                    load(table)
         if done > PHASES.index("evaluate"):
-            outcome_path = self._required(self.snapshot_dir / f"evaluation.{self.iteration}.json")
-            self._outcomes = json.loads(outcome_path.read_text(encoding="utf-8"))
+            self._outcomes = self._read_json(f"evaluation.{self.iteration}.json")
+        # replay unless the run is finished or past its last evaluation; the
+        # fine-tunes are each iteration's first two phases, in PHASES order
+        if not self.finished and (
+            done <= PHASES.index("evaluate") or self.iteration + 1 < self.cfg.iterations
+        ):
+            for i in range(self.iteration + bool(done)):
+                dataset = load_parallel(self._required(self._corpus_paths(i)[0]))
+                for direction in (FORWARD, BACKWARD)[: 2 if i < self.iteration else done]:
+                    self._fine_tune(direction, i, dataset)
         log.info(
             "resumed at iteration %d after phase %r", self.iteration, self.completed_phase
         )
 
     # -- phases ----------------------------------------------------------------
 
-    def _pl_on(self) -> bool:
-        return self.iteration >= self.cfg.pl_prefix_from_iteration
+    def _pl_on(self, iteration: int) -> bool:
+        return iteration >= self.cfg.pl_prefix_from_iteration
+
+    def _fine_tune(self, direction: str, iteration: int, dataset: list[ParallelSample]) -> None:
+        config = {"worker_prefix": direction == FORWARD, "pl_prefix": self._pl_on(iteration)}
+        backend = self.forward if direction == FORWARD else self.backward
+        backend.fine_tune(dataset, direction, config)
 
     def _phase_finetune(self, direction: str) -> None:
-        config = {"worker_prefix": direction == FORWARD, "pl_prefix": self._pl_on()}
-        backend = self.forward if direction == FORWARD else self.backward
-        backend.fine_tune(self.parallel, direction, config)
+        self._fine_tune(direction, self.iteration, self.parallel)
         self._save_backend(direction)
 
     def _evaluate_sample(
@@ -310,7 +322,7 @@ class IbtRunner:
     ) -> tuple[str, object]:
         """Translate the sample's variants while holding ``translating``,
         then assemble and judge each of them without it."""
-        language_tag = sample.language if self._pl_on() else None
+        language_tag = sample.language if self._pl_on(self.iteration) else None
         prefix = Prefix(language=language_tag)
         translated: list[tuple[int, list[str], list]] = []
         with translating:

@@ -302,14 +302,62 @@ class TestRunIbtCommand:
         assert str(missing) in capsys.readouterr().err
         assert not (tmp_path / "snapshots").exists()
 
-    def test_deleted_table_is_user_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "boundary",
+        [(0, "finetune-forward"), (0, "finetune-backward"), (0, "report"), (1, "augment")],
+    )
+    def test_resume_with_a_configured_table_reproduces_the_run(
+        self, tmp_path, capsys, monkeypatch, boundary
+    ):
+        """The configured table is loaded on every start, and a resume
+        replays the completed fine-tunes on top of it."""
+        pretrained = TemplateBackend()
+        pretrained.fine_tune(
+            [preprocess_sample(ParallelSample("q:1:1", "c", 1, ["putchar ( a ) ;"], ["print x"]))],
+            FORWARD,
+            {"worker_prefix": True},
+        )
+        pretrained.save_state(tmp_path / "fwd.jsonl")
+        monkeypatch.setenv("IBTFORGE_BACKEND_FORWARD_STATE", str(tmp_path / "fwd.jsonl"))
+
+        def reports(name: str) -> list:
+            rec = json.loads((tmp_path / name).read_text())
+            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rec["reports"]]
+
+        (tmp_path / "clean").mkdir()
+        cfg = self._config(tmp_path / "clean")
+        assert main(["run-ibt", "--config", cfg, "--out", str(tmp_path / "clean.json")]) == EXIT_OK
+        # the configured table changes what the run augments
+        assert reports("clean.json")[0]["augmented_pairs_count"] == 1
+
+        runner = cli_module.IbtRunner
+
+        class Stopping(runner):
+            def run(self, stop_after=None):
+                return super().run(stop_after=boundary)
+
+        (tmp_path / "s").mkdir()
+        cfg = self._config(tmp_path / "s")
+        monkeypatch.setattr(cli_module, "IbtRunner", Stopping)
+        assert main(["run-ibt", "--config", cfg]) == EXIT_OK
+        monkeypatch.setattr(cli_module, "IbtRunner", runner)
+        out = tmp_path / "resumed.json"
+        assert main(["run-ibt", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert reports("resumed.json") == reports("clean.json")
+
+    def test_damaged_state_file_is_user_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         assert main(["run-ibt", "--config", cfg]) == EXIT_OK
         capsys.readouterr()
-        (tmp_path / "snapshots" / "backward.table.jsonl").unlink()
+        state_path = tmp_path / "snapshots" / "state.json"
+        state = json.loads(state_path.read_text())
+        del state["initial_mono_count"]
+        state_path.write_text(json.dumps(state))
         assert main(["run-ibt", "--config", cfg]) == EXIT_USER
         err = capsys.readouterr().err
-        assert err == "error: cannot resume: snapshot file backward.table.jsonl is missing\n"
+        assert err == (
+            "error: cannot resume: state.json is malformed: KeyError('initial_mono_count')\n"
+        )
 
 
 @requires_gcc

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -211,6 +212,15 @@ class TestPersistence:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="p:blank: code line 2 is empty"):
             load_mono(path)
+
+    @pytest.mark.parametrize("load", [load_parallel, load_mono])
+    def test_torn_record_is_refused_naming_the_file_and_line(self, tmp_path, load):
+        sample = ParallelSample("a:1:1", "c", 1, ["x = 1 ;"], ["set x to 1"])
+        path = tmp_path / "d.jsonl"
+        save_parallel([sample] * 3, path)
+        path.write_bytes(path.read_bytes()[:-30])
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: malformed record: "):
+            load(path)
 
     def test_manifest_counts_and_hash(self, tmp_path):
         path = tmp_path / "d.jsonl"

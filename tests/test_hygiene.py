@@ -1,16 +1,19 @@
 """Static checks on the package source: every module-level import is used,
 every private module-level name is referenced, and every name a module
-exports in ``__all__`` exists."""
+exports in ``__all__`` exists; and the benchmark's hooks on ``ibtforge.ibt``
+still find the attributes they wrap."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ibtforge"
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -97,3 +100,19 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(module_name)
     missing = [name for name in names if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names missing {missing}"
+
+
+def test_benchmark_hooks_install_and_restore():
+    """``perfbench/spans.py`` wraps ``ibtforge.ibt`` attributes by name, so a
+    refactor that drops one fails here rather than only in a traced run."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    ibt = importlib.import_module("ibtforge.ibt")
+    before = dict(vars(ibt))
+    with spans.installed(spans.Tracer(), 1):
+        wrapped = {name for name, value in vars(ibt).items() if before.get(name) is not value}
+    assert set(spans.SNAPSHOT_CALLS) < wrapped
+    after = dict(vars(ibt))
+    assert after.keys() == before.keys()
+    assert [name for name, value in before.items() if after[name] is not value] == []

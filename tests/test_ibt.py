@@ -17,7 +17,7 @@ import ibtforge.ibt as ibt_module
 import ibtforge.translator as translator_module
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc
 from ibtforge.assembler import assemble
-from ibtforge.corpus import MonoSample, ParallelSample, TestCase
+from ibtforge.corpus import CorpusError, MonoSample, ParallelSample, TestCase
 from ibtforge.ibt import (
     IbtConfig,
     IbtError,
@@ -31,7 +31,6 @@ from ibtforge.preprocess import preprocess_sample
 from ibtforge.translator import (
     BackendProtocolError,
     BackendUnavailable,
-    MalformedTable,
     TemplateBackend,
 )
 
@@ -401,6 +400,23 @@ class TestEvaluationPool:
 BOUNDARIES = [(i, phase) for i in range(CFG.iterations) for phase in ibt_module.PHASES]
 
 
+class RecordingBackend:
+    """A template table behind a backend with neither ``load_state`` nor
+    ``save_state``, as ``RemoteBackend`` is; records each ``fine_tune`` as
+    (direction, config, dataset ids) in ``calls``."""
+
+    def __init__(self, calls: list) -> None:
+        self._inner = TemplateBackend()
+        self.calls = calls
+
+    def fine_tune(self, dataset, direction, config=None):
+        self.calls.append((direction, config, [s.id for s in dataset]))
+        self._inner.fine_tune(dataset, direction, config)
+
+    def translate(self, req):
+        return self._inner.translate(req)
+
+
 class TestResumability:
     def _runner(self, snapshot_dir, forward=None, backward=None):
         return IbtRunner(
@@ -567,8 +583,9 @@ class TestResumability:
     @pytest.mark.parametrize(
         "boundary, missing",
         [
-            ((0, "finetune-backward"), "forward.table.jsonl"),
-            ((0, "finetune-backward"), "backward.table.jsonl"),
+            # read only to replay iteration 0's fine-tunes
+            ((0, "report"), "corpus.D.0.jsonl"),
+            ((1, "finetune-backward"), "corpus.D.0.jsonl"),
             ((0, "evaluate"), "evaluation.0.json"),
             ((0, "augment"), "evaluation.0.json"),
         ],
@@ -671,44 +688,110 @@ class TestResumability:
         clean = self._run(tmp_path / "clean")
         assert self._normalized(resumed) == self._normalized(clean)
 
-    @pytest.mark.parametrize(
-        "boundary, parsed",
-        [(None, ()), (BOUNDARIES[0], ("forward",))]
-        + [(b, ("forward", "backward")) for b in BOUNDARIES[1:7]]
-        + [(b, ()) for b in BOUNDARIES[7:]],  # from (1, "evaluate") on
-    )
-    def test_resume_parses_only_the_tables_it_uses(self, tmp_path, monkeypatch, boundary, parsed):
-        """A finished run, or one stopped after its last evaluation, is
-        recovered without parsing a table; one stopped earlier parses each
-        table it has trained when the runner is built."""
+    @pytest.mark.parametrize("shared", [False, True], ids=["two", "shared"])
+    @pytest.mark.parametrize("boundary", [None, *BOUNDARIES])
+    def test_resume_replays_the_fine_tunes_of_the_uninterrupted_run(
+        self, tmp_path, boundary, shared
+    ):
+        """A resumed run on fresh backends makes the uninterrupted run's
+        fine-tune calls, in its order, unless no phase left needs a model."""
+
+        def backends():
+            calls = []
+            forward = RecordingBackend(calls)
+            return calls, forward, forward if shared else RecordingBackend(calls)
+
+        calls, forward, backward = backends()
+        baseline = self._normalized(self._run(tmp_path / "clean", None, forward, backward))
+        assert [call[:2] for call in calls] == [
+            (direction, {"worker_prefix": direction == "forward", "pl_prefix": i >= 1})
+            for i in range(CFG.iterations)
+            for direction in ("forward", "backward")
+        ]
+        snap = tmp_path / "s"
+        self._run(snap, boundary, *backends()[1:])
+        replayed, forward, backward = backends()
+        assert self._normalized(self._run(snap, None, forward, backward)) == baseline
+        # from (1, "evaluate") on only augment and report are left
+        assert replayed == (calls if boundary in BOUNDARIES[:7] else [])
+
+    @staticmethod
+    def _damage(path, how):
+        data = path.read_bytes()
+        if how == "delete":
+            path.unlink()
+        elif how == "halve":
+            lines = data.splitlines(keepends=True)
+            path.write_bytes(b"".join(lines[: len(lines) // 2]))
+        else:
+            middle = len(data) // 2
+            path.write_bytes(data[:middle] + bytes([data[middle] ^ 0x20]) + data[middle + 1 :])
+
+    @pytest.mark.parametrize("how", ["delete", "halve", "flip"])
+    @pytest.mark.parametrize("n", range(len(BOUNDARIES)), ids=lambda n: "%d-%s" % BOUNDARIES[n])
+    def test_damaged_tables_do_not_change_a_resumed_run(self, tmp_path, n, how):
+        """The tables are outputs: a resume reads neither, and a table that a
+        later fine-tune rewrites comes out as in the uninterrupted run."""
         baseline = self._normalized(self._run(tmp_path / "clean"))
+        files = self._corpora_and_tables(tmp_path / "clean")
         snap = tmp_path / "s"
-        self._run(snap, stop_after=boundary)
-        names = []
-        parse = translator_module._parse_table
+        self._run(snap, stop_after=BOUNDARIES[n])
+        damaged = {}
+        for table in snap.glob("*.table.jsonl"):
+            before = table.read_bytes()
+            self._damage(table, how)
+            damaged[table.name] = table.read_bytes() if table.exists() else None
+            assert damaged[table.name] != before
+        assert damaged
+        assert self._normalized(self._run(snap)) == baseline
+        after = self._corpora_and_tables(snap)
+        assert {k: v for k, v in after.items() if k.startswith("corpus.")} == {
+            k: v for k, v in files.items() if k.startswith("corpus.")
+        }
+        for direction in ("forward", "backward"):
+            name = f"{direction}.table.jsonl"
+            rewritten = any(phase == f"finetune-{direction}" for _, phase in BOUNDARIES[n + 1 :])
+            assert after.get(name) == (files[name] if rewritten else damaged.get(name)), name
 
-        def counting(name, text):
-            names.append(name)
-            return parse(name, text)
-
-        monkeypatch.setattr(translator_module, "_parse_table", counting)
-        runner = self._runner(snap)
-        assert names == [str(snap / f"{d}.table.jsonl") for d in parsed]
-        assert self._normalized(runner.run()) == baseline
-        assert len(names) == len(parsed)
-
-    @pytest.mark.parametrize("name", ["forward", "backward"])
-    def test_malformed_table_is_refused_when_the_runner_is_built(self, tmp_path, name):
-        """A malformed table that the rest of the run would use stops the
-        resume before any phase runs, rather than failing every program."""
+    @pytest.mark.parametrize("field", ["initial_mono_count", "reports", "config"])
+    def test_resume_refuses_a_state_file_without_a_field(self, tmp_path, field):
         snap = tmp_path / "s"
-        self._run(snap, stop_after=(0, "finetune-backward"))
-        table = snap / f"{name}.table.jsonl"
-        table.write_text(table.read_text()[:-2] + "\n")
-        state = (snap / "state.json").read_bytes()
-        with pytest.raises(MalformedTable, match=re.escape(f"{table}: malformed table record")):
+        self._run(snap, stop_after=(0, "evaluate"))
+        state = json.loads((snap / "state.json").read_text())
+        del state[field]
+        (snap / "state.json").write_text(json.dumps(state))
+        message = f"cannot resume: state.json is malformed: KeyError('{field}')"
+        with pytest.raises(IbtError, match=re.escape(message)):
             self._runner(snap)
-        assert (snap / "state.json").read_bytes() == state
+
+    @pytest.mark.parametrize("version", [None, 0, 2, 99, "1"])
+    def test_resume_refuses_a_foreign_schema_version(self, tmp_path, version):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(0, "evaluate"))
+        state = json.loads((snap / "state.json").read_text())
+        state["schema_version"] = version
+        (snap / "state.json").write_text(json.dumps(state))
+        with pytest.raises(IbtError, match="snapshot file state.json is not schema 1"):
+            self._runner(snap)
+
+    @pytest.mark.parametrize("name", ["state.json", "evaluation.0.json"])
+    def test_resume_refuses_a_snapshot_file_that_is_not_json(self, tmp_path, name):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(0, "augment"))
+        path = snap / name
+        path.write_text(path.read_text()[:-5])
+        with pytest.raises(IbtError, match=re.escape(f"snapshot file {name} is not JSON: ")):
+            self._runner(snap)
+
+    def test_resume_refuses_a_torn_corpus_naming_its_line(self, tmp_path):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(1, "finetune-forward"))
+        torn = snap / "corpus.D.0.jsonl"
+        data = torn.read_bytes()
+        torn.write_bytes(data[:-30])
+        lines = data.count(b"\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{torn}:{lines}: malformed record")):
+            self._runner(snap)
 
     def test_config_mismatch_on_resume_rejected(self, tmp_path):
         snap = tmp_path / "s"
