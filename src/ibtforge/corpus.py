@@ -396,14 +396,16 @@ def save_mono(samples: Iterable[MonoSample], path: str | Path) -> dict:
 
 def _load_records(path: Path) -> list[dict]:
     records = []
-    with path.open(encoding="utf-8") as fh:
+    # a record with large test payloads can be a line of hundreds of KB, which
+    # a default-sized buffer reads back in many small pieces
+    with path.open("rb", buffering=1 << 20) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
+            try:
+                line = line.decode("utf-8").strip()
+                if line:
                     records.append(json.loads(line))
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}:{lineno}: malformed record: {exc}") from None
+            except ValueError as exc:
+                raise MalformedRow(f"{path}:{lineno}: malformed record: {exc}") from None
     return records
 
 

@@ -37,7 +37,6 @@ from .corpus import (
 from .judge import (
     JUDGE_THREADS,
     JudgeConfig,
-    JudgeFailureError,
     JudgeFn,
     judge_program,
     memoize_verdicts,
@@ -57,7 +56,7 @@ log = logging.getLogger(__name__)
 
 PHASES = ("finetune-forward", "finetune-backward", "evaluate", "augment", "report")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class IbtError(Exception):
@@ -92,6 +91,7 @@ class IterationReport:
     success_rate_pct: float
     cumulative_success_rate_pct: float
     augmented_pairs_count: int
+    # always 0, as a judge fault stops the run; the benchmark sums it and digests reports
     quarantined_count: int = 0
     wall_time_s: float = 0.0
     snapshots: dict = field(default_factory=dict)
@@ -168,7 +168,6 @@ class IbtRunner:
         self.mono = list(mono)
         validate_disjoint(self.parallel, self.mono)
         self.reports: list[IterationReport] = []
-        self.quarantined: list[tuple[str, str]] = []
         self.initial_mono_count = len(self.mono)
         self.iteration = 0
         self.completed_phase: str | None = None
@@ -242,7 +241,6 @@ class IbtRunner:
             "completed_phase": self.completed_phase,
             "finished": self.finished,
             "reports": [r.to_record() for r in self.reports],
-            "quarantined": [list(q) for q in self.quarantined],
         }
         _dump_json(self.snapshot_dir / "state.json", payload)
 
@@ -281,7 +279,13 @@ class IbtRunner:
             self.completed_phase = state["completed_phase"]
             self.finished = state["finished"]
             self.reports = [IterationReport(**r) for r in state["reports"]]
-            self.quarantined = [tuple(q) for q in state["quarantined"]]
+            if self.completed_phase not in (None, *PHASES[:-1]) or not (
+                0 <= self.iteration <= self.cfg.iterations
+            ):
+                raise IbtError(
+                    "cannot resume: state.json is malformed: no phase "
+                    f"{self.completed_phase!r} of iteration {self.iteration!r} in this run"
+                )
         except (KeyError, TypeError) as exc:
             raise IbtError(f"cannot resume: state.json is malformed: {exc!r}") from None
         done = self._done()
@@ -319,9 +323,9 @@ class IbtRunner:
 
     def _evaluate_sample(
         self, sample: MonoSample, workers: list[int], translating: threading.Semaphore
-    ) -> tuple[str, object]:
-        """Translate the sample's variants while holding ``translating``,
-        then assemble and judge each of them without it."""
+    ) -> list[tuple[int, list[str]]]:
+        """Translate the variants holding ``translating``, then assemble and
+        judge them without it; return the passing (worker, pseudocode) ones."""
         language_tag = sample.language if self._pl_on(self.iteration) else None
         prefix = Prefix(language=language_tag)
         translated: list[tuple[int, list[str], list]] = []
@@ -334,15 +338,11 @@ class IbtRunner:
                     TranslationRequest(direction=BACKWARD, lines=lines, beam_size=self.cfg.beam)
                 )
                 translated.append((worker, pseudo_lines, beams))
-        try:
-            passing = [
-                (worker, pseudo_lines)
-                for worker, pseudo_lines, beams in translated
-                if assemble(beams, sample.tests, self.cfg.budget, self.judge_fn).success
-            ]
-        except JudgeFailureError as exc:
-            return ("quarantine", str(exc))
-        return ("pass", passing) if passing else ("fail", [])
+        return [
+            (worker, pseudo_lines)
+            for worker, pseudo_lines, beams in translated
+            if assemble(beams, sample.tests, self.cfg.budget, self.judge_fn).success
+        ]
 
     def _phase_evaluate(self) -> None:
         """Evaluate the samples on a pool sized for the judge. At most
@@ -354,18 +354,14 @@ class IbtRunner:
             results = list(
                 pool.map(lambda y: self._evaluate_sample(y, workers, translating), self.mono)
             )
-        passes: list[list] = []
-        quarantined: list[list] = []
-        for sample, (status, payload) in zip(self.mono, results):
-            if status == "pass":
-                passes.append([sample.id, [[w, list(p)] for w, p in payload]])
-            elif status == "quarantine":
-                quarantined.append([sample.id, str(payload)])
         self._outcomes = {
             "schema_version": SCHEMA_VERSION,
             "iteration": self.iteration,
-            "passes": passes,
-            "quarantined": quarantined,
+            "passes": [
+                [sample.id, [[w, list(p)] for w, p in passing]]
+                for sample, passing in zip(self.mono, results)
+                if passing
+            ],
         }
         if self.snapshot_dir is not None:
             _dump_json(self.snapshot_dir / f"evaluation.{self.iteration}.json", self._outcomes)
@@ -373,7 +369,6 @@ class IbtRunner:
     def _phase_augment(self) -> None:
         assert self._outcomes is not None
         passes = {entry[0]: entry[1] for entry in self._outcomes["passes"]}
-        quarantined_ids = {entry[0] for entry in self._outcomes["quarantined"]}
         remaining: list[MonoSample] = []
         appended_from = len(self.parallel)
         for sample in self.mono:
@@ -382,11 +377,9 @@ class IbtRunner:
                     self.parallel.append(
                         move_to_parallel(sample, worker, list(pseudo_lines), self.iteration)
                     )
-            elif sample.id not in quarantined_ids:
+            else:
                 remaining.append(sample)
         self.mono = remaining
-        for entry in self._outcomes["quarantined"]:
-            self.quarantined.append((entry[0], entry[1]))
         validate_disjoint(self.parallel, self.mono)
         self._snapshot_corpora(self.iteration + 1, appended_from)
 
@@ -395,10 +388,9 @@ class IbtRunner:
         assert self._outcomes is not None
         passes = self._outcomes["passes"]
         passed = len(passes)
-        quarantined = len(self._outcomes["quarantined"])
         # size of Y at iteration start: augmentation has removed the passed
-        # and the quarantined samples from the in-memory pool
-        tested_count = len(self.mono) + passed + quarantined
+        # samples from the in-memory pool
+        tested_count = len(self.mono) + passed
         report = IterationReport(
             iteration=self.iteration,
             tested_count=tested_count,
@@ -406,7 +398,6 @@ class IbtRunner:
             success_rate_pct=100.0 * passed / tested_count if tested_count else 0.0,
             cumulative_success_rate_pct=0.0,
             augmented_pairs_count=sum(len(entry[1]) for entry in passes),
-            quarantined_count=quarantined,
             wall_time_s=round(time.monotonic() - self._iter_started, 3),
         )
         # also checks that each iteration tested what the previous one left
@@ -435,8 +426,9 @@ class IbtRunner:
         """Run to completion, or to ``stop_after=(iteration, phase)`` for
         cooperative kill-and-resume testing. State is saved after every
         phase, so a resumed runner starts at the first phase not completed.
-        A phase that raises, as on any ``TranslatorError`` of a backend,
-        leaves ``state.json`` at the last completed phase."""
+        A phase that raises, as on a backend's ``TranslatorError`` or the
+        judge's ``JudgeFailureError``, leaves ``state.json`` at the last
+        completed phase."""
         steps = (
             lambda: self._phase_finetune(FORWARD),
             lambda: self._phase_finetune(BACKWARD),

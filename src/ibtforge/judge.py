@@ -3,8 +3,8 @@
 Each call compiles one program in a private scratch directory, runs the
 binary on every test case under wall-clock and memory limits, and returns a
 verdict. Infrastructure faults (missing compiler or ``prlimit``, unwritable
-scratch) raise ``JudgeFailureError`` and are never conflated with program
-failure.
+scratch) raise ``JudgeFailureError``, which stops the runner like a backend
+fault; a program whose stderr only reads like a ``prlimit`` error fails.
 """
 
 from __future__ import annotations
@@ -231,10 +231,10 @@ def _judge_in_scratch(
                 wall_time_ms=tuple(wall_times),
             )
         wall_times.append((time.monotonic() - started) * 1000.0)
-        if proc.returncode != 0 and stderr.startswith(b"prlimit: "):
-            # the wrapper could not set a limit or exec the binary
-            raise JudgeFailureError(stderr.decode("utf-8", "backslashreplace")[:500])
         if proc.returncode != 0:
+            if stderr.startswith(b"prlimit: "):
+                # the wrapper's own error text, or a program that writes it
+                _probe_wrapper(cfg, scratch)
             per_test.append(False)
             return JudgeVerdict(
                 kind=VerdictKind.RUNTIME_FAIL,
@@ -262,6 +262,19 @@ def _judge_in_scratch(
         per_test=tuple(per_test),
         wall_time_ms=tuple(wall_times),
     )
+
+
+def _probe_wrapper(cfg: JudgeConfig, scratch: Path) -> None:
+    """Raise ``JudgeFailureError`` unless the wrapper runs a copy of ``true``
+    in ``scratch``, so a scratch the kernel will not exec from still fails."""
+    true = shutil.which("true")
+    if true is None:
+        raise JudgeFailureError("cannot probe the run-limit wrapper: true not found")
+    probe = scratch / "probe"
+    shutil.copy(true, probe)
+    ran = subprocess.run(_run_command(probe, cfg.memory_limit_mb), capture_output=True, cwd=scratch)
+    if ran.returncode != 0:
+        raise JudgeFailureError(ran.stderr.decode("utf-8", "backslashreplace")[:500])
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

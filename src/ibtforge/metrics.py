@@ -90,7 +90,7 @@ def exact_match(hypotheses: Sequence[str], references: Sequence[str]) -> float:
 def cumulative_success(reports: Sequence, initial_count: int) -> float:
     """Share of the original monolingual pool passed over all iterations,
     as a percentage. Validates the conservation chain
-    tested[i+1] == tested[i] - passed[i] - quarantined[i]."""
+    tested[i+1] == tested[i] - passed[i]."""
     if not reports:
         raise ValueError("no iteration reports")
     if initial_count <= 0:
@@ -100,8 +100,7 @@ def cumulative_success(reports: Sequence, initial_count: int) -> float:
             f"first iteration tested {reports[0].tested_count}, expected {initial_count}"
         )
     for prev, cur in zip(reports, reports[1:]):
-        quarantined = getattr(prev, "quarantined_count", 0)
-        expected = prev.tested_count - prev.passed_count - quarantined
+        expected = prev.tested_count - prev.passed_count
         if cur.tested_count != expected:
             raise ConservationViolated(
                 f"iteration tested {cur.tested_count}, expected {expected}"

@@ -186,9 +186,7 @@ def test_criterion_6_end_to_end_improvement(tmp_path):
     assert len(reports) == 2
     assert reports[1].cumulative_success_rate_pct > reports[0].cumulative_success_rate_pct
     total_passed = sum(r.passed_count for r in reports)
-    assert runner.initial_mono_count == (
-        len(runner.mono) + total_passed + len(runner.quarantined)
-    )
+    assert runner.initial_mono_count == len(runner.mono) + total_passed
 
 
 @criterion(7, "metric endpoints behave at their boundary values", 5.0)

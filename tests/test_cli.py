@@ -225,7 +225,7 @@ class TestJudgeCommand:
 
 @requires_gcc
 class TestRunIbtCommand:
-    def _config(self, tmp_path):
+    def _config(self, tmp_path, judge=None):
         save_parallel(build_seed_parallel(), tmp_path / "D.jsonl")
         save_mono(build_mono_corpus(), tmp_path / "Y.jsonl")
         return write_config(
@@ -236,7 +236,7 @@ class TestRunIbtCommand:
                 "snapshots": str(tmp_path / "snapshots"),
                 "scratch": str(tmp_path / "scratch"),
             },
-            judge={"language": "c"},
+            judge={"language": "c", **(judge or {})},
             ibt={"iterations": 2, "beam": 4, "budget": 10, "workers_top_k": 2},
         )
 
@@ -293,6 +293,21 @@ class TestRunIbtCommand:
         assert "beam count does not match" in capsys.readouterr().err
         state = json.loads((tmp_path / "snapshots" / "state.json").read_text())
         assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
+
+    def test_judge_fault_stops_the_run_resumably(self, tmp_path, capsys):
+        """A compiler that cannot be found stops the run after the last
+        completed phase; a rerun with the default compiler resumes there and
+        prints the uninterrupted run's reports."""
+        (tmp_path / "clean").mkdir()
+        assert main(["run-ibt", "--config", self._config(tmp_path / "clean")]) == EXIT_OK
+        clean = capsys.readouterr().out
+        missing = {"compiler_command": ["no-such-cc", "{src}", "-o", "{bin}"]}
+        assert main(["run-ibt", "--config", self._config(tmp_path, missing)]) == EXIT_INFRA
+        assert "compiler not found: no-such-cc" in capsys.readouterr().err
+        state = json.loads((tmp_path / "snapshots" / "state.json").read_text())
+        assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
+        assert main(["run-ibt", "--config", self._config(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == clean
 
     @pytest.mark.parametrize("which", ["forward", "backward"])
     def test_missing_configured_table_is_user_error(self, tmp_path, capsys, monkeypatch, which):

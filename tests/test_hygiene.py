@@ -116,3 +116,23 @@ def test_benchmark_hooks_install_and_restore():
     after = dict(vars(ibt))
     assert after.keys() == before.keys()
     assert [name for name, value in before.items() if after[name] is not value] == []
+
+
+def test_runner_swallows_no_infrastructure_fault():
+    """A judge or backend fault stops the run at the last completed phase,
+    so no handler in ``ibt.py`` may catch one, or catch everything."""
+    translator = importlib.import_module("ibtforge.translator")
+    faults = {"Exception", "BaseException", "JudgeFailureError"} | {
+        name
+        for name, value in vars(translator).items()
+        if isinstance(value, type) and issubclass(value, translator.TranslatorError)
+    }
+    caught = []
+    for node in ast.walk(ast.parse((SRC / "ibt.py").read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {getattr(t, "id", getattr(t, "attr", None)) for t in types if t is not None}
+        if node.type is None or names & faults:
+            caught.append((node.lineno, sorted(names & faults) or "bare"))
+    assert not caught, f"ibt.py: handlers that catch an infrastructure fault {caught}"

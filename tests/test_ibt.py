@@ -163,9 +163,7 @@ class TestEndToEnd:
     def test_conservation_exact(self, reports_and_runner):
         reports, runner = reports_and_runner
         total_passed = sum(r.passed_count for r in reports)
-        assert runner.initial_mono_count == (
-            len(runner.mono) + total_passed + len(runner.quarantined)
-        )
+        assert runner.initial_mono_count == len(runner.mono) + total_passed
         assert cumulative_success(reports, runner.initial_mono_count) == pytest.approx(
             reports[-1].cumulative_success_rate_pct
         )
@@ -205,28 +203,6 @@ class TestEarlyExitAndBookkeeping:
         ).run()
         assert len(reports) == 1
         assert reports[0].passed_count == 1
-
-    def test_quarantine_on_judge_failure(self, seed_parallel, mono_corpus):
-        def flaky_judge(source, tests):
-            if "putchar" in source:
-                raise JudgeFailureError("compiler exploded")
-            return c_only_judge(source, tests)
-
-        runner = IbtRunner(
-            seed_parallel,
-            mono_corpus,
-            TemplateBackend(),
-            TemplateBackend(),
-            IbtConfig(iterations=1, beam=4, budget=10, workers_top_k=2),
-            judge_fn=flaky_judge,
-        )
-        reports = runner.run()
-        assert reports[0].quarantined_count == 1
-        assert reports[0].passed_count == 0  # hard program fails, easy quarantined
-        assert runner.initial_mono_count == (
-            len(runner.mono) + sum(r.passed_count for r in reports) + len(runner.quarantined)
-        )
-        assert [q[0] for q in runner.quarantined] == ["cY1:main"]
 
     def test_parallel_evaluation_matches_serial(self, seed_parallel, mono_corpus):
         serial = IbtRunner(
@@ -372,29 +348,49 @@ class TestEvaluationPool:
         assert reports[0].passed_count == 8
         assert 1 <= peak[0] <= max_workers
 
-    def test_judge_failure_evaluation_independent_of_pool_size(self, tmp_path, monkeypatch):
-        """The second of three samples is quarantined, and the evaluation
-        file is byte-identical whether the samples are judged one at a time
-        or two at a time."""
+    @pytest.mark.parametrize("pool", [1, 2])
+    @pytest.mark.parametrize("faulty", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_judge_failure_stops_the_run_resumably(self, tmp_path, monkeypatch, faulty, pool):
+        """A judge fault on one of five samples stops the run after the last
+        completed phase, whether the samples are judged one or two at a
+        time, and a rerun with a healthy judge reproduces the uninterrupted
+        run's reports, corpora and evaluation file."""
+        monkeypatch.setattr(ibt_module, "JUDGE_THREADS", pool)
 
-        def failing_judge(source, tests):
-            if tests[0].expected_output == b"1":
-                raise JudgeFailureError("compiler exploded")
+        def healthy_judge(source, tests):
+            if int(tests[0].expected_output) % 2:
+                return JudgeVerdict(kind=VerdictKind.WRONG_ANSWER, failed_test=0)
             return passing_judge(source, tests)
 
-        evaluations = []
-        for pool in (1, 2):
-            monkeypatch.setattr(ibt_module, "JUDGE_THREADS", pool)
-            snap = tmp_path / f"pool{pool}"
-            IbtRunner(
-                build_seed_parallel(), numbered_programs(3), TemplateBackend(), TemplateBackend(),
-                self.ONE_ITERATION, judge_fn=failing_judge, snapshot_dir=snap,
-            ).run(stop_after=(0, "evaluate"))
-            evaluations.append((snap / "evaluation.0.json").read_bytes())
-        assert evaluations[0] == evaluations[1]
-        outcome = json.loads(evaluations[0])
-        assert [q[0] for q in outcome["quarantined"]] == ["cZ1:main"]
-        assert [p[0] for p in outcome["passes"]] == ["cZ0:main", "cZ2:main"]
+        def faulty_judge(source, tests):
+            if tests[0].expected_output == str(faulty).encode():
+                raise JudgeFailureError("compiler exploded")
+            return healthy_judge(source, tests)
+
+        def run(snap, judge):
+            reports = IbtRunner(
+                build_seed_parallel(), numbered_programs(5), TemplateBackend(), TemplateBackend(),
+                self.ONE_ITERATION, judge_fn=judge, snapshot_dir=snap,
+            ).run()
+            return [{k: v for k, v in r.to_record().items() if k != "wall_time_s"} for r in reports]
+
+        def outputs(snap):
+            return {
+                p.name: p.read_bytes()
+                for pattern in ("corpus.*.jsonl", "evaluation.*.json")
+                for p in snap.glob(pattern)
+            }
+
+        clean = run(tmp_path / "clean", healthy_judge)
+        assert clean[0]["passed_count"] == 3
+        snap = tmp_path / "s"
+        with pytest.raises(JudgeFailureError, match="compiler exploded"):
+            run(snap, faulty_judge)
+        state = json.loads((snap / "state.json").read_text())
+        assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
+        assert not (snap / "evaluation.0.json").exists()
+        assert run(snap, healthy_judge) == clean
+        assert outputs(snap) == outputs(tmp_path / "clean")
 
 
 BOUNDARIES = [(i, phase) for i in range(CFG.iterations) for phase in ibt_module.PHASES]
@@ -764,14 +760,32 @@ class TestResumability:
         with pytest.raises(IbtError, match=re.escape(message)):
             self._runner(snap)
 
-    @pytest.mark.parametrize("version", [None, 0, 2, 99, "1"])
+    @pytest.mark.parametrize("field, value", [
+        ("completed_phase", "bogus"),
+        ("completed_phase", "report"),
+        ("iteration", -1),
+        ("iteration", CFG.iterations + 1),
+        ("iteration", "1"),
+    ])
+    def test_resume_refuses_a_state_file_naming_no_phase_of_the_run(
+        self, tmp_path, field, value
+    ):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=(0, "evaluate"))
+        state = json.loads((snap / "state.json").read_text())
+        state[field] = value
+        (snap / "state.json").write_text(json.dumps(state))
+        with pytest.raises(IbtError, match=re.escape("cannot resume: state.json is malformed: ")):
+            self._runner(snap)
+
+    @pytest.mark.parametrize("version", [None, 0, 1, 99, "2"])
     def test_resume_refuses_a_foreign_schema_version(self, tmp_path, version):
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "evaluate"))
         state = json.loads((snap / "state.json").read_text())
         state["schema_version"] = version
         (snap / "state.json").write_text(json.dumps(state))
-        with pytest.raises(IbtError, match="snapshot file state.json is not schema 1"):
+        with pytest.raises(IbtError, match="snapshot file state.json is not schema 2"):
             self._runner(snap)
 
     @pytest.mark.parametrize("name", ["state.json", "evaluation.0.json"])
@@ -783,12 +797,14 @@ class TestResumability:
         with pytest.raises(IbtError, match=re.escape(f"snapshot file {name} is not JSON: ")):
             self._runner(snap)
 
-    def test_resume_refuses_a_torn_corpus_naming_its_line(self, tmp_path):
+    @pytest.mark.parametrize("bad_byte", [False, True], ids=["cut", "0xff"])
+    def test_resume_refuses_a_torn_corpus_naming_its_line(self, tmp_path, bad_byte):
+        """The last line cut short, or with one byte that is not UTF-8."""
         snap = tmp_path / "s"
         self._run(snap, stop_after=(1, "finetune-forward"))
         torn = snap / "corpus.D.0.jsonl"
         data = torn.read_bytes()
-        torn.write_bytes(data[:-30])
+        torn.write_bytes(data[:-30] + (b"\xff" + data[-29:] if bad_byte else b""))
         lines = data.count(b"\n")
         with pytest.raises(CorpusError, match=re.escape(f"{torn}:{lines}: malformed record")):
             self._runner(snap)

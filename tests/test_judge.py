@@ -28,6 +28,10 @@ C_OK = '#include <stdio.h>\nint main(){printf("%d\\n",1+1);return 0;}\n'
 C_READS = '#include <stdio.h>\nint main(){int x;scanf("%d",&x);printf("%d\\n",x*2);return 0;}\n'
 C_BAD_SYNTAX = "int main( {\n"
 C_EXIT_7 = "int main(){return 7;}\n"
+C_POSES_AS_PRLIMIT = (
+    '#include <stdio.h>\n'
+    'int main(void){fprintf(stderr,"prlimit: failed to execute x\\n");return 1;}\n'
+)
 C_LOOP = "int main(){for(;;);return 0;}\n"
 C_BIG_ALLOC = (
     "#include <stdlib.h>\n#include <string.h>\n"
@@ -61,6 +65,12 @@ class TestVerdictsC:
         verdict = judge_program(C_EXIT_7, [TestCase(b"", b"")], judge_cfg)
         assert verdict.kind is VerdictKind.RUNTIME_FAIL
         assert "exit status 7" in verdict.detail
+
+    def test_program_writing_the_wrappers_error_fails(self, judge_cfg):
+        # the probe finds the wrapper working, so the failure is the program's
+        verdict = judge_program(C_POSES_AS_PRLIMIT, [TestCase(b"", b"")], judge_cfg)
+        assert verdict.kind is VerdictKind.RUNTIME_FAIL
+        assert "prlimit: failed to execute x" in verdict.detail
 
     def test_time_limit(self, tmp_path):
         cfg = JudgeConfig(language="c", run_timeout_s=0.4, work_dir=str(tmp_path))
@@ -194,8 +204,13 @@ class TestInfrastructure:
         )
         fake.chmod(0o755)
         monkeypatch.setattr(judge_module, "_RUN_WRAPPER", str(fake))
-        with pytest.raises(JudgeFailureError):
+        with pytest.raises(JudgeFailureError, match="failed to set the AS resource limit"):
             judge_program(C_OK, [TestCase(b"", b"2\n")], judge_cfg)
+
+    def test_wrapper_probe_without_true_raises(self, judge_cfg, monkeypatch):
+        monkeypatch.setattr(judge_module.shutil, "which", lambda name: None)
+        with pytest.raises(JudgeFailureError, match="true not found"):
+            judge_program(C_POSES_AS_PRLIMIT, [TestCase(b"", b"")], judge_cfg)
 
 
 TESTS = (TestCase(b"", b""),)

@@ -125,7 +125,7 @@ class TestExactMatch:
             exact_match(["a"], ["a", "b"])
 
 
-def _report(iteration, tested, passed, quarantined=0):
+def _report(iteration, tested, passed):
     return IterationReport(
         iteration=iteration,
         tested_count=tested,
@@ -133,7 +133,6 @@ def _report(iteration, tested, passed, quarantined=0):
         success_rate_pct=100.0 * passed / tested,
         cumulative_success_rate_pct=0.0,
         augmented_pairs_count=passed,
-        quarantined_count=quarantined,
     )
 
 
@@ -160,10 +159,6 @@ class TestCumulativeSuccess:
     def test_initial_count_mismatch_detected(self):
         with pytest.raises(ConservationViolated):
             cumulative_success([_report(0, 90, 40)], 100)
-
-    def test_quarantine_in_chain(self):
-        reports = [_report(0, 100, 40, quarantined=5), _report(1, 55, 10)]
-        assert cumulative_success(reports, 100) == pytest.approx(50.0)
 
     def test_monotone_nondecreasing(self):
         reports = [_report(0, 100, 30), _report(1, 70, 0), _report(2, 70, 21)]
