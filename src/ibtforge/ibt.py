@@ -279,12 +279,18 @@ class IbtRunner:
             self.completed_phase = state["completed_phase"]
             self.finished = state["finished"]
             self.reports = [IterationReport(**r) for r in state["reports"]]
+            # only a finished run reaches the iteration after the last
             if self.completed_phase not in (None, *PHASES[:-1]) or not (
-                0 <= self.iteration <= self.cfg.iterations
+                0 <= self.iteration <= self.cfg.iterations - bool(self.completed_phase)
             ):
                 raise IbtError(
                     "cannot resume: state.json is malformed: no phase "
                     f"{self.completed_phase!r} of iteration {self.iteration!r} in this run"
+                )
+            if len(self.reports) != self.iteration:
+                raise IbtError(
+                    "cannot resume: state.json is malformed: "
+                    f"{len(self.reports)} reports before iteration {self.iteration}"
                 )
         except (KeyError, TypeError) as exc:
             raise IbtError(f"cannot resume: state.json is malformed: {exc!r}") from None
@@ -292,6 +298,16 @@ class IbtRunner:
         d_path, y_path = self._corpus_paths(self.iteration + (done > PHASES.index("augment")))
         self.parallel = load_parallel(self._required(d_path))
         self.mono = load_mono(self._required(y_path))
+        # a run finishes in the report of its last iteration, or of one that
+        # left no program untested
+        if self.finished != (
+            not done and self.iteration > 0 and (not self.mono or self.iteration == self.cfg.iterations)
+        ):
+            raise IbtError(
+                f"cannot resume: state.json is malformed: finished is {self.finished!r} "
+                f"after phase {self.completed_phase!r} of iteration {self.iteration} "
+                f"with {len(self.mono)} programs untested"
+            )
         if done > PHASES.index("evaluate"):
             self._outcomes = self._read_json(f"evaluation.{self.iteration}.json")
         # replay unless the run is finished or past its last evaluation; the

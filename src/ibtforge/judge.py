@@ -143,9 +143,13 @@ def normalize_output(data: bytes, rule: str = "strip-trailing") -> bytes:
 # run in the child between fork and exec is unsafe while other threads run.
 _RUN_WRAPPER = "prlimit"
 
+# Largest file a test run may write, in bytes: a program that writes past it
+# is killed by SIGXFSZ and fails, so a writing loop cannot fill the disk
+FILE_SIZE_LIMIT_BYTES = 64 * 1024 * 1024
+
 
 def _run_command(bin_path: Path, memory_limit_mb: int) -> list[str]:
-    command = [_RUN_WRAPPER, "--core=0"]
+    command = [_RUN_WRAPPER, "--core=0", f"--fsize={FILE_SIZE_LIMIT_BYTES}"]
     if memory_limit_mb > 0:
         command.append(f"--as={memory_limit_mb * 1024 * 1024}")
     return command + ["--", str(bin_path)]

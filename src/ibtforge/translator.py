@@ -227,13 +227,23 @@ def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
 class _AbstractionMemo:
     """(code line, pseudocode line) -> the unprefixed (code, pseudocode)
     shape and its (pseudocode, code) twin: the forward and the backward
-    (source, target). Pairs that abstract alike share interned shapes."""
+    (source, target). Pairs that abstract alike share interned shapes, and
+    every element of a shape, or of a prefix tag, is the one object that
+    ``elements`` holds for its value; ``texts`` holds each element's JSON
+    text. Both of those grow with the element vocabulary, not the tables."""
 
-    __slots__ = ("pairs", "shapes", "__weakref__")
+    __slots__ = ("pairs", "shapes", "elements", "texts", "__weakref__")
 
     def __init__(self) -> None:
         self.pairs: dict[tuple[str, str], tuple[_Shape, _Shape]] = {}
         self.shapes: dict[_Shape, _Shape] = {}
+        self.elements: dict[Elem, Elem] = {}
+        self.texts: dict[Elem, str] = {}
+
+    def intern(self, elems: Sequence[Elem]) -> tuple[Elem, ...]:
+        """``elems`` with each element replaced by the one object held for
+        its value."""
+        return tuple(map(self.elements.setdefault, elems, elems))
 
 
 # every TemplateBackend alive holds the one memo this refers to, so both
@@ -253,18 +263,27 @@ def _shared_memo() -> _AbstractionMemo:
         return memo
 
 
-def _encode(elems: Sequence[Elem]) -> str:
-    """``json.dumps(elems, separators=(",", ":"))``, written element by
-    element: the json module's encoder builds an encoder object per call."""
-    return "[" + ",".join([
-        f'["lit",{encode_basestring_ascii(e[1])}]' if e[0] == "lit" else f'["slot",{e[1]},"{e[2]}"]'
-        for e in elems
-    ]) + "]"
+def _encode(elems: Sequence[Elem], texts: dict[Elem, str]) -> str:
+    """``json.dumps(elems, separators=(",", ":"))``, joined from the JSON
+    text of each element, which ``texts`` caches by element value. The
+    cache must hold no boolean slot index: ``True`` equals ``1`` as a key."""
+    try:
+        return "[" + ",".join([texts[e] for e in elems]) + "]"
+    except KeyError:
+        for e in elems:
+            if e not in texts:
+                texts[e] = (
+                    f'["lit",{encode_basestring_ascii(e[1])}]'
+                    if e[0] == "lit"
+                    else f'["slot",{e[1]},"{e[2]}"]'
+                )
+        return _encode(elems, texts)
 
 
 def _elements(raw: list) -> tuple[Elem, ...]:
     """One side of a table record: each element must be ``["lit", text]`` or
-    ``["slot", index, run class]``, the index an integer (not a boolean)."""
+    ``["slot", index, run class]``, the index an integer (not a boolean,
+    which ``_encode``'s cache would write as the integer it equals)."""
     elems = tuple(map(tuple, raw))
     for e in elems:
         match e:
@@ -301,7 +320,7 @@ def _parse_table(name: str, text: str) -> tuple[dict[str, _Table], dict[str, _No
 
 class _Node:
     """A trie node over template source elements. Literal children are keyed
-    by text, slot children by (slot index, run class); ``target`` is that of
+    by text, slot children by the slot element itself; ``target`` is that of
     the template whose source ends here, if any, and ``literals`` counts the
     literal elements of its source."""
 
@@ -309,7 +328,7 @@ class _Node:
 
     def __init__(self) -> None:
         self.lits: dict[str, _Node] = {}
-        self.slots: dict[tuple[int, str], _Node] = {}
+        self.slots: dict[Elem, _Node] = {}
         self.target: tuple[Elem, ...] | None = None
         self.literals = 0
 
@@ -322,7 +341,7 @@ def _insert(root: _Node, source: tuple[Elem, ...], target: tuple[Elem, ...]) -> 
             children, key = node.lits, el[1]
             literals += 1
         else:
-            children, key = node.slots, (el[1], el[2])
+            children, key = node.slots, el
         child = children.get(key)
         if child is None:
             child = children[key] = _Node()
@@ -373,7 +392,7 @@ def _trie_matches(
         child = node.lits.get(texts[pos])
         if child is not None:
             stack.append((child, pos + 1, bindings))
-        for (idx, run_class), child in node.slots.items():
+        for (_, idx, run_class), child in node.slots.items():
             value = bindings.get(idx)
             if value is not None:
                 end = pos + len(value)
@@ -440,7 +459,7 @@ class TemplateBackend:
             # prefix tags lex as class-None tokens, which never join a slot
             # run, so abstracting a prefixed line gives the tag literals
             # followed by the template of the unprefixed line
-            tags = tuple(("lit", tag) for tag in prefix.render().split())
+            tags = self._memo.intern([("lit", tag) for tag in prefix.render().split()])
             for code_line, pseudo_line in zip(sample.code_lines, sample.pseudo_lines):
                 source, target = self._abstract(direction, code_line, pseudo_line)
                 if tags and (code_line if direction == FORWARD else pseudo_line):
@@ -455,6 +474,8 @@ class TemplateBackend:
         shapes = memo.pairs.get(key)
         if shapes is None:
             shape = _abstract_pair(code_line, pseudo_line)
+            if shape not in memo.shapes:
+                shape = (memo.intern(shape[0]), memo.intern(shape[1]))
             twin = (shape[1], shape[0])
             intern = memo.shapes.setdefault
             shapes = memo.pairs[key] = (intern(shape, shape), intern(twin, twin))
@@ -494,11 +515,14 @@ class TemplateBackend:
         training order. Each line is built around the encoded element lists,
         with its keys in sorted order, so the bytes are those of
         ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
+        texts = self._memo.texts
         with atomic_open(path) as fh:
             for direction in DIRECTIONS:
                 head = f'{{"direction":"{direction}","source":'
                 for source, target in self._tables[direction].items():
-                    fh.write(f'{head}{_encode(source)},"target":{_encode(target)}}}\n')
+                    fh.write(
+                        f'{head}{_encode(source, texts)},"target":{_encode(target, texts)}}}\n'
+                    )
 
     def load_state(self, path: str | Path) -> None:
         """Replace the tables and tries with those of ``path``, once all of

@@ -764,6 +764,7 @@ class TestResumability:
         ("completed_phase", "bogus"),
         ("completed_phase", "report"),
         ("iteration", -1),
+        ("iteration", CFG.iterations),
         ("iteration", CFG.iterations + 1),
         ("iteration", "1"),
     ])
@@ -776,6 +777,39 @@ class TestResumability:
         state[field] = value
         (snap / "state.json").write_text(json.dumps(state))
         with pytest.raises(IbtError, match=re.escape("cannot resume: state.json is malformed: ")):
+            self._runner(snap)
+
+    @pytest.mark.parametrize("boundary", [(0, "evaluate"), (0, "report"), (1, "augment")])
+    def test_resume_refuses_a_state_file_finished_before_the_end(self, tmp_path, boundary):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        state = json.loads((snap / "state.json").read_text())
+        state["finished"] = True
+        (snap / "state.json").write_text(json.dumps(state))
+        message = "cannot resume: state.json is malformed: finished is True after phase "
+        with pytest.raises(IbtError, match=re.escape(message)):
+            self._runner(snap)
+
+    def test_resume_refuses_a_finished_run_marked_unfinished(self, tmp_path):
+        snap = tmp_path / "s"
+        self._run(snap)
+        state = json.loads((snap / "state.json").read_text())
+        assert state["finished"] and state["iteration"] == CFG.iterations
+        state["finished"] = False
+        (snap / "state.json").write_text(json.dumps(state))
+        message = "cannot resume: state.json is malformed: finished is False after phase None"
+        with pytest.raises(IbtError, match=re.escape(message)):
+            self._runner(snap)
+
+    @pytest.mark.parametrize("boundary", [(1, "evaluate"), (1, "report")])
+    def test_resume_refuses_a_state_file_missing_a_report(self, tmp_path, boundary):
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        state = json.loads((snap / "state.json").read_text())
+        del state["reports"][0]
+        (snap / "state.json").write_text(json.dumps(state))
+        message = f"malformed: {state['iteration'] - 1} reports before iteration {state['iteration']}"
+        with pytest.raises(IbtError, match=re.escape(message)):
             self._runner(snap)
 
     @pytest.mark.parametrize("version", [None, 0, 1, 99, "2"])
@@ -864,3 +898,22 @@ class TestSharedAbstraction:
         calls.clear()
         assert run() == trained
         assert set(calls) == trained and set(calls.values()) == {1}
+
+    def test_tables_hold_one_object_per_element(self):
+        """A run re-inserts every template each iteration, shadows ``print x``
+        and adds ``<pl:…>`` tags in iteration 1; both backends' tables still
+        hold one object per distinct element value."""
+        forward, backward = TemplateBackend(), TemplateBackend()
+        IbtRunner(
+            build_seed_parallel(), build_mono_corpus(), forward, backward, CFG, judge_fn=c_only_judge
+        ).run()
+        elems = [
+            e
+            for backend in (forward, backward)
+            for table in backend._tables.values()
+            for template in table.items()
+            for side in template
+            for e in side
+        ]
+        assert ("lit", "<pl:cpp>") in elems and ("lit", "<w:1>") in elems
+        assert len({id(e) for e in elems}) == len(set(elems)) < len(elems) / 2

@@ -33,6 +33,11 @@ C_POSES_AS_PRLIMIT = (
     'int main(void){fprintf(stderr,"prlimit: failed to execute x\\n");return 1;}\n'
 )
 C_LOOP = "int main(){for(;;);return 0;}\n"
+C_WRITES_128K = (
+    '#include <stdio.h>\n'
+    'int main(void){FILE*f=fopen("out","w");if(!f)return 9;\n'
+    'for(int i=0;i<(128<<10);i++)fputc(1,f);fclose(f);puts("done");return 0;}\n'
+)
 C_BIG_ALLOC = (
     "#include <stdlib.h>\n#include <string.h>\n"
     "int main(){char*p=malloc(400u<<20);if(!p)return 9;memset(p,1,400u<<20);return 0;}\n"
@@ -71,6 +76,17 @@ class TestVerdictsC:
         verdict = judge_program(C_POSES_AS_PRLIMIT, [TestCase(b"", b"")], judge_cfg)
         assert verdict.kind is VerdictKind.RUNTIME_FAIL
         assert "prlimit: failed to execute x" in verdict.detail
+
+    def test_file_size_limit_enforced(self, judge_cfg, monkeypatch):
+        tests = [TestCase(b"", b"done\n")]
+        assert judge_program(C_WRITES_128K, tests, judge_cfg).kind is VerdictKind.ALL_PASSED
+        probes = []
+        monkeypatch.setattr(judge_module, "_probe_wrapper", lambda *args: probes.append(args))
+        monkeypatch.setattr(judge_module, "FILE_SIZE_LIMIT_BYTES", 64 * 1024)
+        verdict = judge_program(C_WRITES_128K, tests, judge_cfg)
+        assert verdict.kind is VerdictKind.RUNTIME_FAIL
+        assert verdict.failed_test == 0
+        assert probes == []
 
     def test_time_limit(self, tmp_path):
         cfg = JudgeConfig(language="c", run_timeout_s=0.4, work_dir=str(tmp_path))

@@ -725,6 +725,27 @@ class TestAbstractionMemo:
         assert separate() == expected
 
 
+class TestElementInterning:
+    @settings(max_examples=80, deadline=None)
+    @given(calls=fine_tune_calls)
+    def test_tables_hold_one_object_per_element(self, calls):
+        """However the fine-tunes interleave, prefix and shadow, the tables
+        of both backends hold one object per distinct element value."""
+        pair = {FORWARD: TemplateBackend(), BACKWARD: TemplateBackend()}
+        for dataset, direction, config in calls:
+            pair[direction].fine_tune(dataset, direction, config)
+            pair[direction].fine_tune(dataset, direction, config)
+        elems = [
+            e
+            for backend in pair.values()
+            for table in backend._tables.values()
+            for template in table.items()
+            for side in template
+            for e in side
+        ]
+        assert len({id(e) for e in elems}) == len(set(elems))
+
+
 class TestSharedMemoLifetime:
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -902,7 +923,38 @@ def odd_tables(draw):
     )
 )
 def test_encode_is_json_dumps(elems):
-    assert translator_module._encode(elems) == json.dumps(elems, separators=(",", ":"))
+    expected = json.dumps(elems, separators=(",", ":"))
+    assert translator_module._encode(elems, {}) == expected
+    assert translator_module._encode(elems, WARM_TEXTS) == expected
+
+
+# element -> JSON text, shared by every example of the encoder tests, so an
+# element that an earlier example encoded is read from the cache
+WARM_TEXTS: dict = {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=odd_tables())
+def test_encode_from_one_warm_cache_is_json_dumps(records):
+    for rec in records:
+        for side in ("source", "target"):
+            elems = [tuple(e) for e in rec[side]]
+            encoded = translator_module._encode(elems, WARM_TEXTS)
+            assert encoded == json.dumps(elems, separators=(",", ":"))
+    assert all(text == json.dumps(e, separators=(",", ":")) for e, text in WARM_TEXTS.items())
+
+
+def test_boolean_slot_indices_are_refused_as_the_cache_would_alias_them():
+    """``True == 1`` and they hash alike, so a cache keyed by element value
+    would write a boolean index as the integer it equals; the table parser
+    keeps such an element out of every table."""
+    texts = {}
+    assert translator_module._encode([("slot", 1, "ID")], texts) == '[["slot",1,"ID"]]'
+    assert translator_module._encode([("slot", True, "ID")], texts) == '[["slot",1,"ID"]]'
+    assert json.dumps([("slot", True, "ID")]) == '[["slot", true, "ID"]]'
+    with pytest.raises(ValueError, match="bad template element"):
+        translator_module._elements([["slot", True, "ID"]])
+    assert translator_module._elements([["slot", 1, "ID"]]) == (("slot", 1, "ID"),)
 
 
 class TestTableFile:
@@ -950,15 +1002,17 @@ class TestTableFile:
         encode = translator_module._encode
         calls = []
 
-        def encode_then_fault(value):
+        def encode_then_fault(value, texts):
             calls.append(value)
-            if len(calls) > 4:  # after the first line and into the second
+            if len(calls) > 4:  # two whole lines written, the third begun
                 raise OSError("disk full")
-            return encode(value)
+            return encode(value, texts)
 
         monkeypatch.setattr(translator_module, "_encode", encode_then_fault)
         with pytest.raises(OSError, match="disk full"):
             trained_backend.save_state(path)
+        # each line encodes its source and its target before it is written
+        assert len(calls) == 5
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
