@@ -36,6 +36,8 @@ NEG_INF = float("-inf")
 
 # Seconds between the status polls of a remote training run
 STATUS_POLL_S = 0.2
+# Seconds a remote training run may take before fine_tune gives up on it
+STATUS_WAIT_S = 6 * 3600.0
 
 
 class TranslatorError(Exception):
@@ -295,8 +297,11 @@ def _elements(raw: list) -> tuple[Elem, ...]:
     return elems
 
 
-def _parse_table(name: str, text: str) -> tuple[dict[str, _Table], dict[str, _Node]]:
-    """The per-direction tables of a table file's text, and their tries."""
+def _parse_table(
+    name: str, text: str, memo: _AbstractionMemo
+) -> tuple[dict[str, _Table], dict[str, _Node]]:
+    """The per-direction tables of a table file's text, their elements
+    interned in ``memo``, and their tries."""
     tables: dict[str, _Table] = {FORWARD: {}, BACKWARD: {}}
     for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
@@ -304,9 +309,10 @@ def _parse_table(name: str, text: str) -> tuple[dict[str, _Table], dict[str, _No
             continue
         try:
             rec = json.loads(line)
-            table, source = tables[rec["direction"]], _elements(rec["source"])
+            table = tables[rec["direction"]]
+            source = memo.intern(_elements(rec["source"]))
             table.pop(source, None)
-            table[source] = _elements(rec["target"])
+            table[source] = memo.intern(_elements(rec["target"]))
         except (ValueError, KeyError, TypeError) as exc:
             message = f"{name}: malformed table record on line {lineno}: {exc!r}"
             raise MalformedTable(message) from exc
@@ -528,7 +534,8 @@ class TemplateBackend:
         """Replace the tables and tries with those of ``path``, once all of
         it has parsed. A malformed file raises ``MalformedTable`` naming it
         and the line, and leaves the tables and tries as they were."""
-        self._tables, self._tries = _parse_table(str(path), Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        self._tables, self._tries = _parse_table(str(path), text, self._memo)
 
     def table_size(self, direction: str) -> int:
         return len(self._tables[direction])
@@ -630,8 +637,9 @@ class RemoteBackend:
     def fine_tune(
         self, dataset: Sequence[ParallelSample], direction: str, config: dict | None = None
     ) -> None:
-        """Start a training run, then poll its status until it completes;
-        the wait is unbounded."""
+        """Start a training run, then poll its status until it completes.
+        A run still pending or running after ``STATUS_WAIT_S`` seconds
+        raises ``BackendUnavailable``."""
         if not dataset:
             raise ValueError("fine_tune requires a non-empty dataset")
         payload = {
@@ -643,6 +651,7 @@ class RemoteBackend:
         handle = body.get("handle")
         if not isinstance(handle, str):
             raise BackendProtocolError("finetune: response lacks a handle")
+        started = time.monotonic()
         while True:
             state = self._request("GET", f"/status/{handle}").get("state")
             if state == "completed":
@@ -651,6 +660,11 @@ class RemoteBackend:
                 raise TrainingRejected(f"training run {handle} failed")
             if state not in ("pending", "running"):
                 raise BackendProtocolError(f"status: bad state {state!r}")
+            waited = time.monotonic() - started
+            if waited >= STATUS_WAIT_S:
+                raise BackendUnavailable(
+                    f"training run {handle} still {state} after {waited:.1f} s"
+                )
             time.sleep(STATUS_POLL_S)
 
 

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import logging
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibtforge.lexer import (
+    CHUNK_CACHE_SIZE,
     KEYWORDS,
     Token,
     TokenizedLine,
     TokenKind,
+    _chunk_tokens,
     _pad_interior,
+    _scan,
     _scan_literal,
+    _scan_tokens,
     canonicalize,
     strip_comments,
     tokenize_line,
@@ -422,7 +427,93 @@ class TestAgainstReference:
             "x = 1 ;   \t",
             "y = .5 + 0x1.8p3 ;\r",
             "a <<= b ->* c ... d",
+            "a\u00a0b",
+            "x =\r1",
+            "\v\fi ++ ;\t",
+            "a / b * c",
+            "a */ b",
         ],
     )
     def test_edge_lines(self, raw):
         assert tokenize_line(raw) == reference_tokenize_line(raw)
+
+
+# ---------------------------------------------------------------------------
+# Lines with no quote, '#', '//' or '/*' are lexed chunk by chunk from a cache
+
+
+def _is_clean(line):
+    return not any(s in line for s in ('"', "'", "#", "//", "/*"))
+
+
+# Whitespace that str.split() splits at but the lexer does not skip, and
+# digits that str.isdigit() accepts but no C number starts with
+_NOT_BLANK = ["\r", "\n", "\u00a0", "\u2009", "\u3000", "\x85", "\u2028", "\x1c"]
+_NON_ASCII_DIGITS = ["\u0663", "\u00b2", "\u0661\u0662", "\uff15", "x\u0663", ".\u0663", "1\u0663"]
+_CLEAN_FRAGMENTS = [f for f in _FRAGMENTS if _is_clean(f)] + _NOT_BLANK + _NON_ASCII_DIGITS
+_blanks = st.text(alphabet=" \t\f\v", max_size=3)
+_clean_lines = st.builds(
+    lambda lead, parts, trail: lead + "".join(parts) + trail,
+    _blanks,
+    st.lists(st.tuples(st.sampled_from(_CLEAN_FRAGMENTS), _blanks).map("".join), max_size=14),
+    _blanks | st.sampled_from(["\r", "\t\r", "\v\f"]),
+).filter(_is_clean)
+
+
+def reference_with_any_digits(raw):
+    """``reference_tokenize_line`` for a line that may hold non-ASCII
+    digits: each lexes as a one-character punctuator, as does U+0001, which
+    stands in for it in the reference."""
+    digits = iter([c for c in raw if c.isdigit() and not c.isascii()])
+    stand_in = "".join("\x01" if c.isdigit() and not c.isascii() else c for c in raw)
+    tokenized = reference_tokenize_line(stand_in)
+    tokens = tuple(
+        Token(next(digits), t.kind) if t.text == "\x01" else t for t in tokenized.tokens
+    )
+    return TokenizedLine(tokens, " ".join(t.text for t in tokens), tokenized.diagnostics)
+
+
+class TestChunkCache:
+    @settings(max_examples=1500, deadline=None)
+    @given(_clean_lines)
+    def test_clean_lines_lex_as_the_reference(self, raw):
+        assert tokenize_line(raw) == reference_with_any_digits(raw)
+
+    def test_a_returned_list_is_the_callers_own(self):
+        line = "for ( int i = 0 ; i < n ; i ++ )"
+        first = _scan(line)
+        expected = _scan_tokens(line)
+        assert first == expected
+        first[0].append(("x", TokenKind.IDENTIFIER))
+        first[0][0] = ("while", TokenKind.KEYWORD)
+        first[1].append("diagnostic")
+        second = _scan(line)
+        assert second == expected
+        assert second[0] is not first[0] and second[1] is not first[1]
+
+    def test_the_cache_holds_at_most_its_bound(self):
+        assert _chunk_tokens.cache_info().maxsize == CHUNK_CACHE_SIZE
+        lines = [f"v{i} = v{i} + {i} ;" for i in range(CHUNK_CACHE_SIZE + 50)]
+        for line in lines:
+            _scan(line)
+        assert _chunk_tokens.cache_info().currsize <= CHUNK_CACHE_SIZE
+        # an evicted chunk lexes as before
+        assert _scan(lines[0]) == _scan_tokens(lines[0])
+
+    def test_threads_read_as_one_thread(self):
+        lines = [f"a{i % 40} += b{i % 7} * {i % 13} ;" for i in range(400)]
+        expected = [_scan_tokens(line) for line in lines]
+        _chunk_tokens.cache_clear()
+        start = threading.Barrier(4)
+        results: list[list] = []
+
+        def scan_all():
+            start.wait()
+            results.append([_scan(line) for line in lines])
+
+        threads = [threading.Thread(target=scan_all) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == [expected] * 4

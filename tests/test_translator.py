@@ -7,6 +7,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -745,6 +746,31 @@ class TestElementInterning:
         ]
         assert len({id(e) for e in elems}) == len(set(elems))
 
+    @settings(max_examples=60, deadline=None)
+    @given(calls=fine_tune_calls, records=tables())
+    def test_loaded_tables_hold_one_object_per_element(self, calls, records):
+        """A table saved and loaded into a fresh backend, beside one loaded
+        from records and the fine-tuned ones, holds one object per value."""
+        pair = {FORWARD: TemplateBackend(), BACKWARD: TemplateBackend()}
+        for dataset, direction, config in calls:
+            pair[direction].fine_tune(dataset, direction, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = []
+            for direction, backend in pair.items():
+                path = Path(tmp) / f"{direction}.jsonl"
+                backend.save_state(path)
+                loaded.append(TemplateBackend())
+                loaded[-1].load_state(path)
+        elems = [
+            e
+            for backend in [*pair.values(), *loaded, _load(records)]
+            for table in backend._tables.values()
+            for template in table.items()
+            for side in template
+            for e in side
+        ]
+        assert len({id(e) for e in elems}) == len(set(elems))
+
 
 class TestSharedMemoLifetime:
     @pytest.fixture
@@ -804,9 +830,9 @@ class TestLoadState:
         names = []
         parse = translator_module._parse_table
 
-        def counting(name, text):
+        def counting(name, text, memo):
             names.append(name)
-            return parse(name, text)
+            return parse(name, text, memo)
 
         monkeypatch.setattr(translator_module, "_parse_table", counting)
         return names
@@ -1281,6 +1307,18 @@ class TestRemoteBackend:
         with pytest.raises(TrainingRejected, match="job-1 failed"):
             _fast_backend(url).fine_tune([sample], FORWARD, {})
         assert len([r for r in state.requests if r[1] == "/status/job-1"]) == 2
+
+    def test_training_run_that_never_completes_is_unavailable(self, stub_server, monkeypatch):
+        url, state = stub_server
+        monkeypatch.setattr(translator_module, "STATUS_POLL_S", 0.01)
+        monkeypatch.setattr(translator_module, "STATUS_WAIT_S", 0.05)
+        state.replies["/status/job-1"] = {"handle": "job-1", "state": "running"}
+        sample = make_pair_sample("s:1:1", 1, ["x = 1 ;"], ["set x to 1"])
+        started = time.monotonic()
+        with pytest.raises(BackendUnavailable, match=r"training run job-1 still running after 0\.\d s"):
+            _fast_backend(url).fine_tune([sample], FORWARD, {})
+        assert time.monotonic() - started < 2
+        assert len([r for r in state.requests if r[1] == "/status/job-1"]) >= 2
 
     def test_unknown_training_state_is_protocol_error(self, stub_server):
         url, state = stub_server
