@@ -96,9 +96,13 @@ _DIRECTIVE_RE = re.compile(r"#[ \t\f\v]*([A-Za-z_][A-Za-z0-9_]*)?")
 _BLANKS_RE = re.compile(r"[ \t\f\v]+")
 
 # The most distinct chunks whose tokens _scan keeps, least recently used
-# first out. A run of the benchmark's workloads lexes 100-300 distinct
-# chunks of about 400 bytes each; a full cache of 40-token chunks takes 6 MB
+# first out, and the longest chunk it keeps. A line holding a longer chunk
+# goes through the token loop whole, so long chunks, which seldom repeat,
+# stay out of the cache, and a full cache takes at most about 8 MB. A run
+# of the benchmark's workloads lexes 85-195 distinct chunks, 9 characters
+# at most
 CHUNK_CACHE_SIZE = 2048
+CACHED_CHUNK_LEN = 32
 
 
 def _pad_interior(interior: str) -> str:
@@ -142,12 +146,16 @@ def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
     state from one token to the next only after a ``#``, in a literal or in
     a comment, and no token spans a blank, so the chunks' tokens in turn are
     the line's. Each distinct chunk is lexed once and its tokens kept in a
-    bounded cache; such a line has no diagnostics. Any other line goes
-    through the token loop whole.
+    bounded cache; such a line has no diagnostics. Any other line, and a
+    line with a chunk longer than ``CACHED_CHUNK_LEN``, goes through the
+    token loop whole.
     """
     if '"' in raw or "'" in raw or "#" in raw or "//" in raw or "/*" in raw:
         return _scan_tokens(raw)
-    return list(chain.from_iterable(map(_chunk_tokens, _BLANKS_RE.split(raw)))), []
+    chunks = _BLANKS_RE.split(raw)
+    if max(map(len, chunks)) > CACHED_CHUNK_LEN:
+        return _scan_tokens(raw)
+    return list(chain.from_iterable(map(_chunk_tokens, chunks))), []
 
 
 @functools.lru_cache(maxsize=CHUNK_CACHE_SIZE)

@@ -36,8 +36,6 @@ NEG_INF = float("-inf")
 
 # Seconds between the status polls of a remote training run
 STATUS_POLL_S = 0.2
-# Seconds a remote training run may take before fine_tune gives up on it
-STATUS_WAIT_S = 6 * 3600.0
 
 
 class TranslatorError(Exception):
@@ -637,9 +635,8 @@ class RemoteBackend:
     def fine_tune(
         self, dataset: Sequence[ParallelSample], direction: str, config: dict | None = None
     ) -> None:
-        """Start a training run, then poll its status until it completes.
-        A run still pending or running after ``STATUS_WAIT_S`` seconds
-        raises ``BackendUnavailable``."""
+        """Start a training run, then poll its status until it completes;
+        the wait is unbounded."""
         if not dataset:
             raise ValueError("fine_tune requires a non-empty dataset")
         payload = {
@@ -651,7 +648,6 @@ class RemoteBackend:
         handle = body.get("handle")
         if not isinstance(handle, str):
             raise BackendProtocolError("finetune: response lacks a handle")
-        started = time.monotonic()
         while True:
             state = self._request("GET", f"/status/{handle}").get("state")
             if state == "completed":
@@ -660,11 +656,6 @@ class RemoteBackend:
                 raise TrainingRejected(f"training run {handle} failed")
             if state not in ("pending", "running"):
                 raise BackendProtocolError(f"status: bad state {state!r}")
-            waited = time.monotonic() - started
-            if waited >= STATUS_WAIT_S:
-                raise BackendUnavailable(
-                    f"training run {handle} still {state} after {waited:.1f} s"
-                )
             time.sleep(STATUS_POLL_S)
 
 

@@ -11,7 +11,6 @@ import yaml
 
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc
 import ibtforge.cli as cli_module
-import ibtforge.translator as translator_module
 from ibtforge.cli import EXIT_INFRA, EXIT_OK, EXIT_USER, load_config, main, ConfigError
 from ibtforge.corpus import ParallelSample, TestCase, save_mono, save_parallel
 from ibtforge.ibt import IbtConfig
@@ -506,15 +505,6 @@ class TestRemoteBackendFailures:
     def test_non_object_body_is_infra_failure(self, tmp_path, capsys, path):
         assert self._run(tmp_path, path, (200, [])) == EXIT_INFRA
         assert f"{path}: response is not a JSON object" in capsys.readouterr().err
-
-    def test_training_run_that_never_completes_is_infra_failure(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(translator_module, "STATUS_POLL_S", 0.01)
-        monkeypatch.setattr(translator_module, "STATUS_WAIT_S", 0.05)
-        running = (200, {"handle": "job-1", "state": "running"})
-        assert self._run(tmp_path, "/status/job-1", running) == EXIT_INFRA
-        assert "training run job-1 still running after" in capsys.readouterr().err
 
     def test_non_list_candidates_is_infra_failure(self, tmp_path, capsys):
         # one program, so the first request translates its lines

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibtforge.lexer import (
+    CACHED_CHUNK_LEN,
     CHUNK_CACHE_SIZE,
     KEYWORDS,
     Token,
@@ -499,6 +500,17 @@ class TestChunkCache:
         assert _chunk_tokens.cache_info().currsize <= CHUNK_CACHE_SIZE
         # an evicted chunk lexes as before
         assert _scan(lines[0]) == _scan_tokens(lines[0])
+
+    def test_a_line_with_a_long_chunk_stays_out_of_the_cache(self):
+        _chunk_tokens.cache_clear()
+        compact = "for(i=0;i<n;i++){a[i]=b[i]*c+d[i];}"
+        assert len(compact) > CACHED_CHUNK_LEN
+        for line in [compact, f"x = y ; {compact}", "a" * (CACHED_CHUNK_LEN + 1) + " ;"]:
+            assert _scan(line) == _scan_tokens(line)
+        assert _chunk_tokens.cache_info().currsize == 0
+        line = "a" * CACHED_CHUNK_LEN + " ;"
+        assert _scan(line) == _scan_tokens(line)
+        assert _chunk_tokens.cache_info().currsize == 2
 
     def test_threads_read_as_one_thread(self):
         lines = [f"a{i % 40} += b{i % 7} * {i % 13} ;" for i in range(400)]
