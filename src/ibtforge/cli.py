@@ -35,7 +35,7 @@ from .corpus import (
     write_manifest,
 )
 from .ibt import IbtConfig, IbtError, IbtRunner, IterationReport
-from .judge import JudgeConfig, JudgeFailureError, judge_program
+from .judge import JudgeConfig, JudgeFailureError, judge_program, memoize_verdicts
 from .lexer import tokenize_line
 from .metrics import ConservationViolated, EvalReport, corpus_bleu, exact_match
 from .preprocess import Prefix, apply_prefix, preprocess_sample
@@ -265,6 +265,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         max_budget = max(budgets)
         judged = 0
         success_at = {b: 0 for b in budgets}
+        # one compile per distinct (source, tests): annotator variants of one
+        # program that back-translate alike; a hit still counts an execution
+        judge = memoize_verdicts(lambda source, tests: judge_program(source, tests, cfg.judge))
         for sample in samples:
             if not sample.tests:
                 log.warning("eval: %s has no tests, skipped", sample.id)
@@ -272,12 +275,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             beams = backend.translate(
                 TranslationRequest(BACKWARD, tuple(sample.pseudo_lines), cfg.ibt.beam)
             )
-            result = assemble(
-                beams,
-                sample.tests,
-                max_budget,
-                lambda source, tests: judge_program(source, tests, cfg.judge),
-            )
+            result = assemble(beams, sample.tests, max_budget, judge)
             judged += 1
             for b in budgets:
                 # the repair path is budget-independent, so success at a

@@ -167,27 +167,41 @@ def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
     occurrence. The pseudocode side is then slotted left to right, longest
     slot value first. If the occurrence counts of the slots disagree between
     the two sides the pair is kept verbatim.
+
+    A one-token run is a slot exactly when its token is a pseudocode token;
+    when every slot value is one token, each pseudocode token is slotted by
+    one lookup. Only a pair with a longer run (``ll n`` or ``string s`` in
+    SPoC code; the benchmark has none) builds the index of token positions.
     """
     code = _lex(code_line)
     pseudo = [t for t, _ in _lex(pseudo_line)]
-    # where each pseudocode token occurs: a run is looked for only at the
-    # positions of its first token
-    positions: dict[str, list[int]] = {}
-    for i, t in enumerate(pseudo):
-        positions.setdefault(t, []).append(i)
+    vocab = set(pseudo)
+    # where each pseudocode token occurs, built at the first longer run: such
+    # a run is looked for only at the positions of its first token
+    positions: dict[str, list[int]] | None = None
 
     slot_of: dict[tuple[str, ...], Elem] = {}
     code_elems: list[Elem] = []
     i, n = 0, len(code)
     while i < n:
         text, cls = code[i]
+        start = i
+        i += 1
         if cls is None:
             code_elems.append(("lit", text))
-            i += 1
             continue
-        start = i
         while i < n and code[i][1] is not None:
             i += 1
+        if i - start == 1:
+            slot = slot_of.get((text,))
+            if slot is None and text in vocab:
+                slot = slot_of[(text,)] = ("slot", len(slot_of), cls)
+            code_elems.append(slot or ("lit", text))
+            continue
+        if positions is None:
+            positions = {}
+            for p, t in enumerate(pseudo):
+                positions.setdefault(t, []).append(p)
         words = [t for t, _ in code[start:i]]
         value = tuple(words)
         slot = slot_of.get(value)
@@ -202,22 +216,26 @@ def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
             code_elems.append(slot)
 
     if slot_of:
-        # slot values by first token, longest first (two of one length
-        # cannot both match at one position)
-        by_first: dict[str, list[tuple[tuple[str, ...], Elem]]] = {}
-        for value, slot in sorted(slot_of.items(), key=lambda vs: -len(vs[0])):
-            by_first.setdefault(value[0], []).append((value, slot))
         pseudo_elems: list[Elem] = []
-        i, n = 0, len(pseudo)
-        while i < n:
-            for value, slot in by_first.get(pseudo[i], ()):
-                if tuple(pseudo[i : i + len(value)]) == value:
-                    pseudo_elems.append(slot)
-                    i += len(value)
-                    break
-            else:
-                pseudo_elems.append(("lit", pseudo[i]))
-                i += 1
+        if positions is None or all(len(value) == 1 for value in slot_of):
+            single = {value[0]: slot for value, slot in slot_of.items()}
+            pseudo_elems = [single.get(t) or ("lit", t) for t in pseudo]
+        else:
+            # slot values by first token, longest first (two of one length
+            # cannot both match at one position)
+            by_first: dict[str, list[tuple[tuple[str, ...], Elem]]] = {}
+            for value, slot in sorted(slot_of.items(), key=lambda vs: -len(vs[0])):
+                by_first.setdefault(value[0], []).append((value, slot))
+            i, n = 0, len(pseudo)
+            while i < n:
+                for value, slot in by_first.get(pseudo[i], ()):
+                    if tuple(pseudo[i : i + len(value)]) == value:
+                        pseudo_elems.append(slot)
+                        i += len(value)
+                        break
+                else:
+                    pseudo_elems.append(("lit", pseudo[i]))
+                    i += 1
         slots = sorted([e for e in code_elems if e[0] == "slot"])
         if slots == sorted([e for e in pseudo_elems if e[0] == "slot"]):
             return tuple(code_elems), tuple(pseudo_elems)
@@ -516,17 +534,25 @@ class TemplateBackend:
 
     def save_state(self, path: str | Path) -> None:
         """Replace ``path`` whole with one JSON record per template, in
-        training order. Each line is built around the encoded element lists,
-        with its keys in sorted order, so the bytes are those of
-        ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
+        training order. Each line joins the memo's JSON text of each element
+        around its keys in sorted order, so the bytes are those of
+        ``json.dumps(record, sort_keys=True, separators=(",", ":"))``; only a
+        line with an element the memo holds no text for goes to ``_encode``."""
         texts = self._memo.texts
+        text = texts.__getitem__
+
+        def lines(direction: str) -> Iterable[str]:
+            head = f'{{"direction":"{direction}","source":'
+            for source, target in self._tables[direction].items():
+                try:
+                    sides = f'[{",".join(map(text, source))}],"target":[{",".join(map(text, target))}]'
+                except KeyError:
+                    sides = f'{_encode(source, texts)},"target":{_encode(target, texts)}'
+                yield f"{head}{sides}}}\n"
+
         with atomic_open(path) as fh:
             for direction in DIRECTIONS:
-                head = f'{{"direction":"{direction}","source":'
-                for source, target in self._tables[direction].items():
-                    fh.write(
-                        f'{head}{_encode(source, texts)},"target":{_encode(target, texts)}}}\n'
-                    )
+                fh.writelines(lines(direction))
 
     def load_state(self, path: str | Path) -> None:
         """Replace the tables and tries with those of ``path``, once all of

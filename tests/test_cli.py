@@ -14,7 +14,7 @@ import ibtforge.cli as cli_module
 from ibtforge.cli import EXIT_INFRA, EXIT_OK, EXIT_USER, load_config, main, ConfigError
 from ibtforge.corpus import ParallelSample, TestCase, save_mono, save_parallel
 from ibtforge.ibt import IbtConfig
-from ibtforge.judge import JudgeConfig
+from ibtforge.judge import JudgeConfig, judge_program
 from ibtforge.preprocess import preprocess_sample
 from ibtforge.translator import BACKWARD, FORWARD, BackendProtocolError, TemplateBackend
 
@@ -423,6 +423,33 @@ class TestEvalCommand:
         record = json.loads(out.read_text())
         assert sorted(record["success_rate_at"]) == ["1", "10", "100"]
         assert record["success_rate_at"]["1"] == pytest.approx(100.0)
+
+    def test_backward_eval_judges_each_distinct_program_once(self, tmp_path, monkeypatch):
+        """Two annotators of one program back-translate alike: the second
+        reaches no compiler, and the report is that of the first alone."""
+        cfg = self._config(tmp_path)
+        calls = []
+
+        def counting(source, tests, judge_cfg):
+            calls.append(source)
+            return judge_program(source, tests, judge_cfg)
+
+        monkeypatch.setattr(cli_module, "judge_program", counting)
+
+        def evaluate():
+            calls.clear()
+            out = tmp_path / "eval.json"
+            argv = ["eval", "--split", "test-p", "--direction", "backward", "--config", cfg]
+            assert main([*argv, "--budgets", "1,10", "--out", str(out)]) == EXIT_OK
+            return json.loads(out.read_text()), list(calls)
+
+        alone, alone_calls = evaluate()
+        sample = eval_corpus()[0]
+        twin = dataclasses.replace(sample, id="e:1:4", worker=4)
+        save_parallel([sample, twin], tmp_path / "testp.jsonl")
+        both, both_calls = evaluate()
+        assert alone_calls and both_calls == alone_calls
+        assert both == alone
 
     def test_empty_split_is_user_error(self, tmp_path):
         (tmp_path / "testp.jsonl").write_text("")

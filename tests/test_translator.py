@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import importlib.util
 import json
@@ -655,6 +656,12 @@ class TestAbstraction:
             ("a = a + 1 ;", "add 1 to a"),  # a count mismatch: kept verbatim
             ("a b = a ;", "a b gets a"),  # the longer value is tried first
             ("x = 1 ;", "print x"),  # a run with no pseudocode occurrence
+            # one-token runs beside runs of more than one token
+            ("a = a b ;", "a b then a"),  # a one-token slot that begins a longer one
+            ("a b = c ;", "set c to a"),  # a longer run that is no slot
+            ("x = x + 1 ;", "add 1 to x"),  # a one-token value whose counts disagree
+            ("x = 10 ;", "set x to 10"),  # a number slot
+            ("<pl:cpp> <w:2> n = 0 ;", "<w:2> set n to 0"),  # tagged lines
         ],
     )
     def test_edge_pairs(self, code_line, pseudo_line):
@@ -997,6 +1004,28 @@ class TestTableFile:
             backend.fine_tune(dataset, direction, config)
             assert _saved_records(backend)[1] == json_dumps_table(backend)
 
+    @settings(max_examples=60, deadline=None)
+    @given(records=odd_tables(), calls=fine_tune_calls)
+    def test_elements_without_a_cached_text_save_json_dumps_bytes(self, records, calls):
+        """Each backend on a memo of its own: one that has interned nothing
+        before its fine-tunes, and a loaded table, saved once, then
+        fine-tuned further with elements the memo holds no text for yet."""
+        cold = TemplateBackend()
+        cold._memo = translator_module._AbstractionMemo()
+        for dataset, direction, config in calls:
+            cold.fine_tune(dataset, direction, config)
+        assert _saved_records(cold)[1] == json_dumps_table(cold)
+        loaded = TemplateBackend()
+        loaded._memo = translator_module._AbstractionMemo()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+            loaded.load_state(path)
+        assert _saved_records(loaded)[1] == json_dumps_table(loaded)
+        for dataset, direction, config in calls:
+            loaded.fine_tune(dataset, direction, config)
+            assert _saved_records(loaded)[1] == json_dumps_table(loaded)
+
     def test_non_ascii_literals_are_escaped(self, tmp_path):
         backend = TemplateBackend()
         sample = make_pair_sample("s:1:1", 1, ['puts ( "h\u00e9" ) ;'], ["say h\u00e9 \U0001f600"])
@@ -1024,20 +1053,35 @@ class TestTableFile:
         path = tmp_path / "t.jsonl"
         trained_backend.save_state(path)
         before = path.read_bytes()
-        encode = translator_module._encode
-        calls = []
+        opened = translator_module.atomic_open
+        written = []
 
-        def encode_then_fault(value, texts):
-            calls.append(value)
-            if len(calls) > 4:  # two whole lines written, the third begun
-                raise OSError("disk full")
-            return encode(value, texts)
+        class FullDisk:
+            """A file that takes two writes, then fails."""
 
-        monkeypatch.setattr(translator_module, "_encode", encode_then_fault)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                if len(written) == 2:
+                    raise OSError("disk full")
+                written.append(text)
+                return self.fh.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        @contextlib.contextmanager
+        def full_after_two_writes(target):
+            with opened(target) as fh:
+                yield FullDisk(fh)
+
+        monkeypatch.setattr(translator_module, "atomic_open", full_after_two_writes)
         with pytest.raises(OSError, match="disk full"):
             trained_backend.save_state(path)
-        # each line encodes its source and its target before it is written
-        assert len(calls) == 5
+        # part of the new file had been written when the fault came
+        assert written and before.decode().startswith("".join(written))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
