@@ -11,9 +11,9 @@ real compiler.
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -95,14 +95,19 @@ _DIRECTIVE_RE = re.compile(r"#[ \t\f\v]*([A-Za-z_][A-Za-z0-9_]*)?")
 # such as "\r" and "\u00a0", which lex as punctuators
 _BLANKS_RE = re.compile(r"[ \t\f\v]+")
 
-# The most distinct chunks whose tokens _scan keeps, least recently used
-# first out, and the longest chunk it keeps. A line holding a longer chunk
-# goes through the token loop whole, so long chunks, which seldom repeat,
-# stay out of the cache, and a full cache takes at most about 8 MB. A run
-# of the benchmark's workloads lexes 85-195 distinct chunks, 9 characters
-# at most
+# The most distinct chunks whose tokens _scan keeps, and the longest chunk it
+# keeps. The first chunks seen are kept and never evicted, so a hit is a plain
+# dict read, and on a Zipf-shaped vocabulary hits at least as often as an LRU
+# cache; but once full, the cache cannot follow lines that drift to another
+# vocabulary. A line holding a longer chunk goes through the token loop
+# whole, so long chunks, which seldom repeat, stay out of the cache, and a
+# full cache takes at most about 9 MB. A run of the benchmark's workloads
+# lexes 85-195 distinct chunks, 9 characters at most
 CHUNK_CACHE_SIZE = 2048
 CACHED_CHUNK_LEN = 32
+_CHUNKS: dict[str, tuple[tuple[str, TokenKind], ...]] = {}
+# taken only to store a chunk, so that the bound holds exactly under threads
+_CHUNKS_LOCK = threading.Lock()
 
 
 def _pad_interior(interior: str) -> str:
@@ -142,25 +147,39 @@ def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
     token so dirty corpus lines never halt the pipeline.
 
     A line with no quote, ``#``, ``//`` or ``/*`` is lexed chunk by chunk,
-    split at runs of the blanks that the token loop skips: the loop carries
-    state from one token to the next only after a ``#``, in a literal or in
-    a comment, and no token spans a blank, so the chunks' tokens in turn are
-    the line's. Each distinct chunk is lexed once and its tokens kept in a
-    bounded cache; such a line has no diagnostics. Any other line, and a
-    line with a chunk longer than ``CACHED_CHUNK_LEN``, goes through the
-    token loop whole.
+    split at the blanks that the token loop skips: the loop carries state
+    from one token to the next only after a ``#``, in a literal or in a
+    comment, and no token spans a blank, so the chunks' tokens in turn are
+    the line's. ``str.split(" ")`` splits a line at single spaces, leaving
+    empty chunks, which have no tokens, at leading, trailing or doubled
+    ones; a line with a tab, form feed or vertical tab is split at runs of
+    all four blanks instead. The tokens of the first ``CHUNK_CACHE_SIZE``
+    distinct chunks are kept, and any other chunk is lexed each time it
+    occurs; such a line has no diagnostics. A line with a chunk longer than
+    ``CACHED_CHUNK_LEN``, and any other line, goes through the token loop
+    whole.
     """
     if '"' in raw or "'" in raw or "#" in raw or "//" in raw or "/*" in raw:
         return _scan_tokens(raw)
-    chunks = _BLANKS_RE.split(raw)
-    if max(map(len, chunks)) > CACHED_CHUNK_LEN:
-        return _scan_tokens(raw)
-    return list(chain.from_iterable(map(_chunk_tokens, chunks))), []
-
-
-@functools.lru_cache(maxsize=CHUNK_CACHE_SIZE)
-def _chunk_tokens(chunk: str) -> tuple[tuple[str, TokenKind], ...]:
-    return tuple(_scan_tokens(chunk)[0])
+    if "\t" in raw or "\f" in raw or "\v" in raw:
+        chunks = _BLANKS_RE.split(raw)
+    else:
+        chunks = raw.split(" ")
+    try:
+        return list(chain.from_iterable(map(_CHUNKS.__getitem__, chunks))), []
+    except KeyError:
+        if max(map(len, chunks)) > CACHED_CHUNK_LEN:
+            return _scan_tokens(raw)
+    tokens: list[tuple[str, TokenKind]] = []
+    for chunk in chunks:
+        chunk_tokens = _CHUNKS.get(chunk)
+        if chunk_tokens is None:
+            chunk_tokens = tuple(_scan_tokens(chunk)[0])
+            with _CHUNKS_LOCK:
+                if len(_CHUNKS) < CHUNK_CACHE_SIZE:
+                    _CHUNKS[chunk] = chunk_tokens
+        tokens += chunk_tokens
+    return tokens, []
 
 
 def _scan_tokens(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:

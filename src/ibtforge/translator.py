@@ -174,7 +174,8 @@ def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
     SPoC code; the benchmark has none) builds the index of token positions.
     """
     code = _lex(code_line)
-    pseudo = [t for t, _ in _lex(pseudo_line)]
+    pseudo_tokens = _lex(pseudo_line) if pseudo_line[:1] == "<" else _scan(pseudo_line)[0]
+    pseudo = [t for t, _ in pseudo_tokens]
     vocab = set(pseudo)
     # where each pseudocode token occurs, built at the first longer run: such
     # a run is looked for only at the positions of its first token

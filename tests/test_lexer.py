@@ -3,10 +3,12 @@ from __future__ import annotations
 import logging
 import re
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ibtforge import lexer
 from ibtforge.lexer import (
     CACHED_CHUNK_LEN,
     CHUNK_CACHE_SIZE,
@@ -14,7 +16,7 @@ from ibtforge.lexer import (
     Token,
     TokenizedLine,
     TokenKind,
-    _chunk_tokens,
+    _CHUNKS,
     _pad_interior,
     _scan,
     _scan_literal,
@@ -433,6 +435,21 @@ class TestAgainstReference:
             "\v\fi ++ ;\t",
             "a / b * c",
             "a */ b",
+            # split at spaces: leading, trailing and doubled ones, none, or
+            # only one, and characters that str.split() alone would split at
+            "  x = 1 ;",
+            "x = 1 ;  ",
+            "a  ==   b",
+            "",
+            " ",
+            "a\rb = c ;",
+            "x =\u00a0y ;",
+            "\u3000i ++\u3000;",
+            # split at runs of every blank
+            "a \tb",
+            "a\f = b ;",
+            " \vx = 1 ;",
+            "a \t\f\v b  c",
         ],
     )
     def test_edge_lines(self, raw):
@@ -452,13 +469,29 @@ def _is_clean(line):
 _NOT_BLANK = ["\r", "\n", "\u00a0", "\u2009", "\u3000", "\x85", "\u2028", "\x1c"]
 _NON_ASCII_DIGITS = ["\u0663", "\u00b2", "\u0661\u0662", "\uff15", "x\u0663", ".\u0663", "1\u0663"]
 _CLEAN_FRAGMENTS = [f for f in _FRAGMENTS if _is_clean(f)] + _NOT_BLANK + _NON_ASCII_DIGITS
-_blanks = st.text(alphabet=" \t\f\v", max_size=3)
-_clean_lines = st.builds(
-    lambda lead, parts, trail: lead + "".join(parts) + trail,
-    _blanks,
-    st.lists(st.tuples(st.sampled_from(_CLEAN_FRAGMENTS), _blanks).map("".join), max_size=14),
-    _blanks | st.sampled_from(["\r", "\t\r", "\v\f"]),
-).filter(_is_clean)
+
+
+def _clean_lines_of(blanks):
+    """Clean lines whose blanks are drawn from ``blanks`` alone."""
+
+    def fits(text):
+        return all(c in blanks or c not in _REF_WS for c in text)
+
+    runs = st.text(alphabet=blanks, max_size=3)
+    return st.builds(
+        lambda lead, parts, trail: lead + "".join(parts) + trail,
+        runs,
+        st.lists(
+            st.tuples(st.sampled_from(list(filter(fits, _CLEAN_FRAGMENTS))), runs).map("".join),
+            max_size=14,
+        ),
+        runs | st.sampled_from(list(filter(fits, ["\r", "\t\r", "\v\f"]))),
+    )
+
+
+# Lines whose only blank is the space, which _scan splits with str.split(" "),
+# and lines that mix in the other blanks, which it splits with a regex
+_clean_lines = st.one_of(_clean_lines_of(" "), _clean_lines_of(_REF_WS)).filter(_is_clean)
 
 
 def reference_with_any_digits(raw):
@@ -472,6 +505,25 @@ def reference_with_any_digits(raw):
         Token(next(digits), t.kind) if t.text == "\x01" else t for t in tokenized.tokens
     )
     return TokenizedLine(tokens, " ".join(t.text for t in tokens), tokenized.diagnostics)
+
+
+@pytest.fixture
+def empty_chunk_cache():
+    """An empty chunk cache for one test; the chunks it held come back
+    after the test."""
+    saved = dict(_CHUNKS)
+    _CHUNKS.clear()
+    yield
+    _CHUNKS.clear()
+    _CHUNKS.update(saved)
+
+
+def _fill_chunk_cache(count):
+    """Scan lines of new one-token chunks until the cache holds ``count``."""
+    i = 0
+    while len(_CHUNKS) < count:
+        _scan(f"fill{i}")
+        i += 1
 
 
 class TestChunkCache:
@@ -492,30 +544,36 @@ class TestChunkCache:
         assert second == expected
         assert second[0] is not first[0] and second[1] is not first[1]
 
-    def test_the_cache_holds_at_most_its_bound(self):
-        assert _chunk_tokens.cache_info().maxsize == CHUNK_CACHE_SIZE
+    def test_the_cache_holds_at_most_its_bound(self, empty_chunk_cache):
         lines = [f"v{i} = v{i} + {i} ;" for i in range(CHUNK_CACHE_SIZE + 50)]
         for line in lines:
             _scan(line)
-        assert _chunk_tokens.cache_info().currsize <= CHUNK_CACHE_SIZE
-        # an evicted chunk lexes as before
+        assert len(_CHUNKS) == CHUNK_CACHE_SIZE
+        # a stored chunk and one never stored lex as before
         assert _scan(lines[0]) == _scan_tokens(lines[0])
+        assert _scan(lines[-1]) == _scan_tokens(lines[-1])
 
-    def test_a_line_with_a_long_chunk_stays_out_of_the_cache(self):
-        _chunk_tokens.cache_clear()
+    def test_a_full_cache_keeps_its_chunks(self, empty_chunk_cache):
+        _fill_chunk_cache(CHUNK_CACHE_SIZE)
+        stored = dict(_CHUNKS)
+        for line in ["late = fill0 + late2 ;", "  late  late\u00a0 ", "a \tlate3"]:
+            assert _scan(line) == _scan_tokens(line)
+        assert _CHUNKS == stored
+        assert all(_CHUNKS[chunk] is tokens for chunk, tokens in stored.items())
+
+    def test_a_line_with_a_long_chunk_stays_out_of_the_cache(self, empty_chunk_cache):
         compact = "for(i=0;i<n;i++){a[i]=b[i]*c+d[i];}"
         assert len(compact) > CACHED_CHUNK_LEN
         for line in [compact, f"x = y ; {compact}", "a" * (CACHED_CHUNK_LEN + 1) + " ;"]:
             assert _scan(line) == _scan_tokens(line)
-        assert _chunk_tokens.cache_info().currsize == 0
+        assert not _CHUNKS
         line = "a" * CACHED_CHUNK_LEN + " ;"
         assert _scan(line) == _scan_tokens(line)
-        assert _chunk_tokens.cache_info().currsize == 2
+        assert len(_CHUNKS) == 2
 
-    def test_threads_read_as_one_thread(self):
+    def test_threads_read_as_one_thread(self, empty_chunk_cache):
         lines = [f"a{i % 40} += b{i % 7} * {i % 13} ;" for i in range(400)]
         expected = [_scan_tokens(line) for line in lines]
-        _chunk_tokens.cache_clear()
         start = threading.Barrier(4)
         results: list[list] = []
 
@@ -527,5 +585,43 @@ class TestChunkCache:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         assert results == [expected] * 4
+
+    def test_a_line_is_cached_by_its_chunks_between_blanks(self, empty_chunk_cache):
+        for line in ["x\t=\f1 ;", " x  = \v1\t;"]:
+            assert _scan(line) == _scan_tokens(line)
+        assert set(_CHUNKS) == {"", "x", "=", "1", ";"}
+
+    def test_threads_that_miss_at_once_keep_the_bound(self, empty_chunk_cache, monkeypatch):
+        _fill_chunk_cache(CHUNK_CACHE_SIZE - 3)
+
+        class YieldingLen(dict):
+            # lets the other threads run between reading the size and storing
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(0.001)
+                return size
+
+        chunks = YieldingLen(_CHUNKS)
+        monkeypatch.setattr(lexer, "_CHUNKS", chunks)
+        start = threading.Barrier(4)
+        mismatches: list[str] = []
+
+        def miss(worker):
+            start.wait()
+            for i in range(8):
+                line = f"w{worker}c{i} = {i} ;"
+                if _scan(line) != _scan_tokens(line):
+                    mismatches.append(line)
+
+        threads = [threading.Thread(target=miss, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not mismatches
+        # nothing is evicted, so the size at the end is the largest it was
+        assert dict.__len__(chunks) == CHUNK_CACHE_SIZE

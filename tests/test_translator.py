@@ -662,6 +662,7 @@ class TestAbstraction:
             ("x = x + 1 ;", "add 1 to x"),  # a one-token value whose counts disagree
             ("x = 10 ;", "set x to 10"),  # a number slot
             ("<pl:cpp> <w:2> n = 0 ;", "<w:2> set n to 0"),  # tagged lines
+            ("n = m ;", "<n> is m"),  # a pseudocode line that starts with '<' but no tag
         ],
     )
     def test_edge_pairs(self, code_line, pseudo_line):
