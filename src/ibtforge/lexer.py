@@ -91,9 +91,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _DIRECTIVE_RE = re.compile(r"#[ \t\f\v]*([A-Za-z_][A-Za-z0-9_]*)?")
-# The blanks that _TOKEN_RE skips; str.split() would also split at others,
-# such as "\r" and "\u00a0", which lex as punctuators
-_BLANKS_RE = re.compile(r"[ \t\f\v]+")
 
 # The most distinct chunks whose tokens _scan keeps, and the longest chunk it
 # keeps. The first chunks seen are kept and never evicted, so a hit is a plain
@@ -106,7 +103,7 @@ _BLANKS_RE = re.compile(r"[ \t\f\v]+")
 CHUNK_CACHE_SIZE = 2048
 CACHED_CHUNK_LEN = 32
 _CHUNKS: dict[str, tuple[tuple[str, TokenKind], ...]] = {}
-# taken only to store a chunk, so that the bound holds exactly under threads
+# taken only to store a chunk while there is room: the bound holds under threads
 _CHUNKS_LOCK = threading.Lock()
 
 
@@ -147,24 +144,20 @@ def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
     token so dirty corpus lines never halt the pipeline.
 
     A line with no quote, ``#``, ``//`` or ``/*`` is lexed chunk by chunk,
-    split at the blanks that the token loop skips: the loop carries state
+    split at single spaces by ``str.split(" ")``: the loop carries state
     from one token to the next only after a ``#``, in a literal or in a
     comment, and no token spans a blank, so the chunks' tokens in turn are
-    the line's. ``str.split(" ")`` splits a line at single spaces, leaving
-    empty chunks, which have no tokens, at leading, trailing or doubled
-    ones; a line with a tab, form feed or vertical tab is split at runs of
-    all four blanks instead. The tokens of the first ``CHUNK_CACHE_SIZE``
-    distinct chunks are kept, and any other chunk is lexed each time it
-    occurs; such a line has no diagnostics. A line with a chunk longer than
-    ``CACHED_CHUNK_LEN``, and any other line, goes through the token loop
-    whole.
+    the line's. Leading, trailing or doubled spaces leave empty chunks,
+    which have no tokens; a tab, form feed or vertical tab stays inside its
+    chunk, where the token loop skips it as it skips a space. The tokens of
+    the first ``CHUNK_CACHE_SIZE`` distinct chunks are kept, and any other
+    chunk is lexed each time it occurs; such a line has no diagnostics. A
+    line with a chunk longer than ``CACHED_CHUNK_LEN``, and any other line,
+    goes through the token loop whole.
     """
     if '"' in raw or "'" in raw or "#" in raw or "//" in raw or "/*" in raw:
         return _scan_tokens(raw)
-    if "\t" in raw or "\f" in raw or "\v" in raw:
-        chunks = _BLANKS_RE.split(raw)
-    else:
-        chunks = raw.split(" ")
+    chunks = raw.split(" ")
     try:
         return list(chain.from_iterable(map(_CHUNKS.__getitem__, chunks))), []
     except KeyError:
@@ -175,9 +168,10 @@ def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
         chunk_tokens = _CHUNKS.get(chunk)
         if chunk_tokens is None:
             chunk_tokens = tuple(_scan_tokens(chunk)[0])
-            with _CHUNKS_LOCK:
-                if len(_CHUNKS) < CHUNK_CACHE_SIZE:
-                    _CHUNKS[chunk] = chunk_tokens
+            if len(_CHUNKS) < CHUNK_CACHE_SIZE:
+                with _CHUNKS_LOCK:
+                    if len(_CHUNKS) < CHUNK_CACHE_SIZE:
+                        _CHUNKS[chunk] = chunk_tokens
         tokens += chunk_tokens
     return tokens, []
 

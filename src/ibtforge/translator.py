@@ -128,14 +128,20 @@ class Backend(Protocol):
 _SLOT_KINDS = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
 
 
+def _scan_tagged(line: str) -> tuple[list[str], list[tuple[str, TokenKind]]]:
+    """The texts of a line's ``<pl:…>``/``<w:K>`` tags and the (text, kind) tokens of the rest."""
+    if line[:1] != "<":
+        return [], _scan(line)[0]
+    prefix, rest = strip_prefix(line)
+    return prefix.render().split(), _scan(rest)[0]
+
+
 def _lex(line: str) -> list[tuple[str, str | None]]:
     """Tokenize a (possibly tagged) line into (text, slot-class) pairs where
     slot-class is "ID"/"NUM" for abstractable tokens and None otherwise."""
-    toks: list[tuple[str, str | None]] = []
-    if line[:1] == "<":
-        prefix, line = strip_prefix(line)
-        toks = [(t, None) for t in prefix.render().split()]
-    toks += [(text, _SLOT_KINDS.get(kind)) for text, kind in _scan(line)[0]]
+    tags, tokens = _scan_tagged(line)
+    toks: list[tuple[str, str | None]] = [(t, None) for t in tags]
+    toks += [(text, _SLOT_KINDS.get(kind)) for text, kind in tokens]
     return toks
 
 
@@ -174,8 +180,8 @@ def _abstract_pair(code_line: str, pseudo_line: str) -> _Shape:
     SPoC code; the benchmark has none) builds the index of token positions.
     """
     code = _lex(code_line)
-    pseudo_tokens = _lex(pseudo_line) if pseudo_line[:1] == "<" else _scan(pseudo_line)[0]
-    pseudo = [t for t, _ in pseudo_tokens]
+    pseudo, pseudo_tokens = _scan_tagged(pseudo_line)
+    pseudo += [t for t, _ in pseudo_tokens]
     vocab = set(pseudo)
     # where each pseudocode token occurs, built at the first longer run: such
     # a run is looked for only at the positions of its first token

@@ -589,10 +589,25 @@ class TestChunkCache:
             assert not t.is_alive()
         assert results == [expected] * 4
 
-    def test_a_line_is_cached_by_its_chunks_between_blanks(self, empty_chunk_cache):
-        for line in ["x\t=\f1 ;", " x  = \v1\t;"]:
+    def test_a_full_cache_takes_no_lock(self, empty_chunk_cache, monkeypatch):
+        _fill_chunk_cache(CHUNK_CACHE_SIZE)
+
+        class RefusedLock:
+            def __enter__(self):
+                raise AssertionError("a full cache took the lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(lexer, "_CHUNKS_LOCK", RefusedLock())
+        line = "late = late2 + 1 ;"
+        assert _scan(line) == _scan_tokens(line)
+
+    def test_a_line_is_cached_by_its_chunks_between_spaces(self, empty_chunk_cache):
+        # a tab, form feed or vertical tab stays inside its chunk
+        for line in ["x\t=\f1 ;", " x  = \v1\t;", "x \t ;"]:
             assert _scan(line) == _scan_tokens(line)
-        assert set(_CHUNKS) == {"", "x", "=", "1", ";"}
+        assert set(_CHUNKS) == {"x\t=\f1", ";", "", "x", "=", "\v1\t;", "\t"}
 
     def test_threads_that_miss_at_once_keep_the_bound(self, empty_chunk_cache, monkeypatch):
         _fill_chunk_cache(CHUNK_CACHE_SIZE - 3)
