@@ -180,9 +180,9 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     warnings = 0
     lines_out = []
     for raw in in_path.read_text(encoding="utf-8", errors="replace").splitlines():
-        tokenized = tokenize_line(raw)
-        warnings += len(tokenized.diagnostics)
-        lines_out.append(tokenized.canonical)
+        tokens, diagnostics = tokenize_line(raw)
+        warnings += len(diagnostics)
+        lines_out.append(" ".join([text for text, _ in tokens]))
     with atomic_open(out_path) as fh:
         fh.write("".join(line + "\n" for line in lines_out))
     print(f"{len(lines_out)} lines canonicalized, {warnings} warnings", file=sys.stderr)

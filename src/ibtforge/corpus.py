@@ -162,9 +162,6 @@ class IngestStats:
     rejected_no_tests: int = 0
     rejected_empty: int = 0
 
-    def note(self, message: str) -> None:
-        log.warning("%s", message)
-
 
 # ---------------------------------------------------------------------------
 # Parallel corpus ingestion
@@ -193,14 +190,14 @@ def ingest_parallel(path: str | Path, stats: IngestStats | None = None) -> list[
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 stats.skipped_rows += 1
-                stats.note(f"{path}:{lineno}: malformed row ({len(row)} columns)")
+                log.warning("%s:%d: malformed row (%d columns)", path, lineno, len(row))
                 continue
             try:
                 worker = int(row[col["workerid"]])
                 line_idx = int(row[col["line"]])
             except ValueError:
                 stats.skipped_rows += 1
-                stats.note(f"{path}:{lineno}: non-numeric workerid/line")
+                log.warning("%s:%d: non-numeric workerid/line", path, lineno)
                 continue
             key = (row[col["probid"]], row[col["subid"]], worker)
             if key not in groups:
@@ -214,7 +211,9 @@ def ingest_parallel(path: str | Path, stats: IngestStats | None = None) -> list[
         indices = [r[0] for r in rows]
         if indices != list(range(len(rows))):
             stats.dropped_samples += 1
-            stats.note(f"{path}: {probid}:{subid}:{worker}: non-contiguous line indices {indices}")
+            log.warning(
+                "%s: %s:%s:%d: non-contiguous line indices %s", path, probid, subid, worker, indices
+            )
             continue
         samples.append(
             ParallelSample(
@@ -277,12 +276,12 @@ def ingest_mono(path: str | Path, stats: IngestStats | None = None) -> list[Mono
             sample_id = f"{problem_dir.name}:{src.stem}"
             if not tests:
                 stats.rejected_no_tests += 1
-                stats.note(f"{src}: no test cases, rejected")
+                log.warning("%s: no test cases, rejected", src)
                 continue
             code_lines = code_to_lines(src.read_text(encoding="utf-8", errors="replace"))
             if not code_lines:
                 stats.rejected_empty += 1
-                stats.note(f"{src}: no code lines after normalization, rejected")
+                log.warning("%s: no code lines after normalization, rejected", src)
                 continue
             samples.append(
                 MonoSample(

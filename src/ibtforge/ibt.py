@@ -149,6 +149,8 @@ class IbtRunner:
             raise ValueError("monolingual corpus must be non-empty")
         if judge_fn is None and judge_cfg is None:
             raise ValueError("either judge_cfg or judge_fn is required")
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
         self.forward = forward
         self.backward = backward
         self.cfg = cfg
@@ -159,7 +161,7 @@ class IbtRunner:
             judge_fn or (lambda source, tests: judge_program(source, tests, judge_cfg))
         )
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
-        self.max_workers = max(1, max_workers)
+        self.max_workers = max_workers
 
         resuming = self.snapshot_dir is not None and (self.snapshot_dir / "state.json").exists()
         # a resumed run replaces both corpora with the snapshot's, so the

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
@@ -29,19 +28,6 @@ class TokenKind(str, Enum):
     CHAR = "char-literal"
     PUNCTUATOR = "punctuator"
     PREPROCESSOR = "preprocessor"
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    kind: TokenKind
-
-
-@dataclass(frozen=True)
-class TokenizedLine:
-    tokens: tuple[Token, ...]
-    canonical: str
-    diagnostics: tuple[str, ...] = ()
 
 
 KEYWORDS = frozenset(
@@ -92,13 +78,13 @@ _TOKEN_RE = re.compile(
 )
 _DIRECTIVE_RE = re.compile(r"#[ \t\f\v]*([A-Za-z_][A-Za-z0-9_]*)?")
 
-# The most distinct chunks whose tokens _scan keeps, and the longest chunk it
-# keeps. The first chunks seen are kept and never evicted, so a hit is a plain
-# dict read, and on a Zipf-shaped vocabulary hits at least as often as an LRU
-# cache; but once full, the cache cannot follow lines that drift to another
-# vocabulary. A line holding a longer chunk goes through the token loop
-# whole, so long chunks, which seldom repeat, stay out of the cache, and a
-# full cache takes at most about 9 MB. A run of the benchmark's workloads
+# The most distinct chunks whose tokens tokenize_line keeps, and the longest
+# chunk it keeps. The first chunks seen are kept and never evicted, so a hit
+# is a plain dict read, and on a Zipf-shaped vocabulary hits at least as often
+# as an LRU cache; but once full, the cache cannot follow lines that drift to
+# another vocabulary. A line holding a longer chunk goes through the token
+# loop whole, so long chunks, which seldom repeat, stay out of the cache, and
+# a full cache takes at most about 9 MB. A run of the benchmark's workloads
 # lexes 85-195 distinct chunks, 9 characters at most
 CHUNK_CACHE_SIZE = 2048
 CACHED_CHUNK_LEN = 32
@@ -134,7 +120,7 @@ def _scan_literal(raw: str, start: int) -> tuple[str, int, bool]:
     return raw[start + 1 :], n, False
 
 
-def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
+def tokenize_line(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
     """The (text, kind) tokens of a single source line (no embedded
     newline), and its diagnostics, in a list of its own.
 
@@ -177,7 +163,7 @@ def _scan(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
 
 
 def _scan_tokens(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
-    """:func:`_scan` token by token, through one regex match each."""
+    """:func:`tokenize_line` token by token, through one regex match each."""
     tokens: list[tuple[str, TokenKind]] = []
     diagnostics: list[str] = []
     i = 0
@@ -237,20 +223,9 @@ def _scan_tokens(raw: str) -> tuple[list[tuple[str, TokenKind]], list[str]]:
     return tokens, diagnostics
 
 
-def tokenize_line(raw: str) -> TokenizedLine:
-    """Tokenize a single source line (no embedded newline) into ``Token``
-    objects, its canonical form and its diagnostics (see :func:`_scan`)."""
-    tokens, diagnostics = _scan(raw)
-    return TokenizedLine(
-        tokens=tuple(Token(text, kind) for text, kind in tokens),
-        canonical=" ".join([text for text, _ in tokens]),
-        diagnostics=tuple(diagnostics),
-    )
-
-
 def canonicalize(raw: str) -> str:
     """Render a line as its tokens joined by single spaces."""
-    return " ".join([text for text, _ in _scan(raw)[0]])
+    return " ".join([text for text, _ in tokenize_line(raw)[0]])
 
 
 def unpad_literals(line: str) -> str:
@@ -260,7 +235,7 @@ def unpad_literals(line: str) -> str:
     canonical line is materialized into compilable source text.
     """
     rendered: list[str] = []
-    for text, kind in _scan(line)[0]:
+    for text, kind in tokenize_line(line)[0]:
         if kind in (TokenKind.STRING, TokenKind.CHAR) and len(text) >= 2 and text[-1] == text[0]:
             interior = text[1:-1]
             if len(interior) >= 2 and interior[0] == " " and interior[-1] == " ":

@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .lexer import _scan, canonicalize
+from .lexer import canonicalize, tokenize_line
 
 LANGUAGES = ("cpp", "c")
 
@@ -69,7 +69,7 @@ def strip_prefix(line: str) -> tuple[Prefix, str]:
 def count_newline_keywords(code_line: str) -> int:
     """Occurrences of the ``endl`` token outside string/char literals (a
     literal token keeps its quotes, so it never reads ``endl``)."""
-    return sum(text == "endl" for text, _ in _scan(code_line)[0])
+    return sum(text == "endl" for text, _ in tokenize_line(code_line)[0])
 
 
 def rewrite_endl(code_line: str, pseudo_line: str) -> str:
@@ -86,16 +86,11 @@ def rewrite_endl(code_line: str, pseudo_line: str) -> str:
     return f"{pseudo_line} {suffix}" if pseudo_line else suffix
 
 
-def normalize_pseudo(pseudo_line: str) -> str:
-    """Re-space a pseudocode line with the code tokenizer so numbers and
-    punctuation sub-tokenize consistently across both sides."""
-    return canonicalize(pseudo_line)
-
-
 def preprocess_pair(code_line: str, pseudo_line: str) -> str:
-    """Full pseudocode normalization for one aligned pair: number re-spacing
-    first, then the newline-keyword rewrite."""
-    return rewrite_endl(code_line, normalize_pseudo(pseudo_line))
+    """Full pseudocode normalization for one aligned pair: re-spacing with
+    the code tokenizer first, so numbers and punctuation sub-tokenize
+    consistently across both sides, then the newline-keyword rewrite."""
+    return rewrite_endl(code_line, canonicalize(pseudo_line))
 
 
 def preprocess_sample(sample):

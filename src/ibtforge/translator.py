@@ -23,7 +23,7 @@ from typing import Iterable, Protocol, Sequence
 import requests
 
 from .corpus import MonoSample, ParallelSample, atomic_open
-from .lexer import TokenKind, _scan, canonicalize
+from .lexer import TokenKind, canonicalize, tokenize_line
 from .preprocess import Prefix, apply_prefix, strip_prefix
 
 log = logging.getLogger(__name__)
@@ -131,9 +131,9 @@ _SLOT_KINDS = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
 def _scan_tagged(line: str) -> tuple[list[str], list[tuple[str, TokenKind]]]:
     """The texts of a line's ``<pl:…>``/``<w:K>`` tags and the (text, kind) tokens of the rest."""
     if line[:1] != "<":
-        return [], _scan(line)[0]
+        return [], tokenize_line(line)[0]
     prefix, rest = strip_prefix(line)
-    return prefix.render().split(), _scan(rest)[0]
+    return prefix.render().split(), tokenize_line(rest)[0]
 
 
 def _lex(line: str) -> list[tuple[str, str | None]]:
@@ -255,7 +255,8 @@ class _AbstractionMemo:
     (source, target). Pairs that abstract alike share interned shapes, and
     every element of a shape, or of a prefix tag, is the one object that
     ``elements`` holds for its value; ``texts`` holds each element's JSON
-    text. Both of those grow with the element vocabulary, not the tables."""
+    text, as ``json.dumps`` with compact separators writes it. Both of those
+    grow with the element vocabulary, not the tables."""
 
     __slots__ = ("pairs", "shapes", "elements", "texts", "__weakref__")
 
@@ -267,8 +268,19 @@ class _AbstractionMemo:
 
     def intern(self, elems: Sequence[Elem]) -> tuple[Elem, ...]:
         """``elems`` with each element replaced by the one object held for
-        its value."""
-        return tuple(map(self.elements.setdefault, elems, elems))
+        its value; a new element's text is stored before the element, so
+        every element a table holds has its text. No slot index may be a
+        boolean: ``True`` equals ``1`` as a key."""
+        elements = self.elements
+        for e in elems:
+            if e not in elements:
+                self.texts[e] = (
+                    f'["lit",{encode_basestring_ascii(e[1])}]'
+                    if e[0] == "lit"
+                    else f'["slot",{e[1]},"{e[2]}"]'
+                )
+                elements.setdefault(e, e)
+        return tuple(map(elements.__getitem__, elems))
 
 
 # every TemplateBackend alive holds the one memo this refers to, so both
@@ -288,27 +300,10 @@ def _shared_memo() -> _AbstractionMemo:
         return memo
 
 
-def _encode(elems: Sequence[Elem], texts: dict[Elem, str]) -> str:
-    """``json.dumps(elems, separators=(",", ":"))``, joined from the JSON
-    text of each element, which ``texts`` caches by element value. The
-    cache must hold no boolean slot index: ``True`` equals ``1`` as a key."""
-    try:
-        return "[" + ",".join([texts[e] for e in elems]) + "]"
-    except KeyError:
-        for e in elems:
-            if e not in texts:
-                texts[e] = (
-                    f'["lit",{encode_basestring_ascii(e[1])}]'
-                    if e[0] == "lit"
-                    else f'["slot",{e[1]},"{e[2]}"]'
-                )
-        return _encode(elems, texts)
-
-
 def _elements(raw: list) -> tuple[Elem, ...]:
     """One side of a table record: each element must be ``["lit", text]`` or
     ``["slot", index, run class]``, the index an integer (not a boolean,
-    which ``_encode``'s cache would write as the integer it equals)."""
+    which the memo's texts would write as the integer it equals)."""
     elems = tuple(map(tuple, raw))
     for e in elems:
         match e:
@@ -543,18 +538,13 @@ class TemplateBackend:
         """Replace ``path`` whole with one JSON record per template, in
         training order. Each line joins the memo's JSON text of each element
         around its keys in sorted order, so the bytes are those of
-        ``json.dumps(record, sort_keys=True, separators=(",", ":"))``; only a
-        line with an element the memo holds no text for goes to ``_encode``."""
-        texts = self._memo.texts
-        text = texts.__getitem__
+        ``json.dumps(record, sort_keys=True, separators=(",", ":"))``."""
+        text = self._memo.texts.__getitem__
 
         def lines(direction: str) -> Iterable[str]:
             head = f'{{"direction":"{direction}","source":'
             for source, target in self._tables[direction].items():
-                try:
-                    sides = f'[{",".join(map(text, source))}],"target":[{",".join(map(text, target))}]'
-                except KeyError:
-                    sides = f'{_encode(source, texts)},"target":{_encode(target, texts)}'
+                sides = f'[{",".join(map(text, source))}],"target":[{",".join(map(text, target))}]'
                 yield f"{head}{sides}}}\n"
 
         with atomic_open(path) as fh:

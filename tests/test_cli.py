@@ -225,7 +225,7 @@ class TestJudgeCommand:
 
 @requires_gcc
 class TestRunIbtCommand:
-    def _config(self, tmp_path, judge=None):
+    def _config(self, tmp_path, judge=None, **sections):
         save_parallel(build_seed_parallel(), tmp_path / "D.jsonl")
         save_mono(build_mono_corpus(), tmp_path / "Y.jsonl")
         return write_config(
@@ -238,6 +238,7 @@ class TestRunIbtCommand:
             },
             judge={"language": "c", **(judge or {})},
             ibt={"iterations": 2, "beam": 4, "budget": 10, "workers_top_k": 2},
+            **sections,
         )
 
     def test_table_and_json_report(self, tmp_path, capsys):
@@ -254,6 +255,13 @@ class TestRunIbtCommand:
     def test_zero_iterations_is_config_error(self, tmp_path):
         cfg = self._config(tmp_path)
         assert main(["run-ibt", "--config", cfg, "--iterations", "0"]) == EXIT_USER
+
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    def test_max_workers_below_one_is_config_error(self, tmp_path, capsys, max_workers):
+        cfg = self._config(tmp_path, run={"max_workers": max_workers})
+        assert main(["run-ibt", "--config", cfg]) == EXIT_USER
+        assert "max_workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "snapshots").exists()
 
     def test_rerun_from_finished_snapshot_is_stable(self, tmp_path, capsys):
         cfg = self._config(tmp_path)

@@ -1,7 +1,7 @@
 """Static checks on the package source: every module-level import is used,
 every private module-level name is referenced, and every name a module
-exports in ``__all__`` exists; and the benchmark's hooks on ``ibtforge.ibt``
-still find the attributes they wrap."""
+exports in ``__all__`` exists; and the benchmark's imports from ``ibtforge``
+and its hooks on ``ibtforge.ibt`` still find the names they use."""
 
 from __future__ import annotations
 
@@ -100,6 +100,23 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(module_name)
     missing = [name for name in names if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names missing {missing}"
+
+
+@pytest.mark.parametrize("path", sorted(SPANS.parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_the_benchmark_imports_exists(path):
+    """Each ``from ibtforge... import name`` and ``import ibtforge...`` in
+    the benchmark harness, at module level or inside a function, resolves;
+    unlike the smoke test, this needs no gcc."""
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ibtforge":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ibtforge":
+                    importlib.import_module(alias.name)
+    assert not missing, f"{path.name}: imported names missing {missing}"
 
 
 def test_benchmark_hooks_install_and_restore():

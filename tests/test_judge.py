@@ -149,7 +149,7 @@ class TestNormalization:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("limit", [1, 2, 15])
+    @pytest.mark.parametrize("limit", [-1, 1, 2, 15])
     def test_memory_limit_below_the_loader_floor_rejected(self, limit):
         with pytest.raises(ValueError, match="memory_limit_mb"):
             JudgeConfig(memory_limit_mb=limit)

@@ -13,12 +13,9 @@ from ibtforge.lexer import (
     CACHED_CHUNK_LEN,
     CHUNK_CACHE_SIZE,
     KEYWORDS,
-    Token,
-    TokenizedLine,
     TokenKind,
     _CHUNKS,
     _pad_interior,
-    _scan,
     _scan_literal,
     _scan_tokens,
     canonicalize,
@@ -37,9 +34,8 @@ class TestGoldenLines:
         assert canonicalize("else if (ans == int(ans))") == expected
 
     def test_empty_line(self):
-        tokenized = tokenize_line("")
-        assert tokenized.tokens == ()
-        assert tokenized.canonical == ""
+        assert tokenize_line("") == ([], [])
+        assert canonicalize("") == ""
 
     def test_already_canonical_printf_is_fixed_point(self):
         line = 'printf ( " %d %d %d\\n " , a , c , b ) ;'
@@ -53,8 +49,8 @@ class TestGoldenLines:
 
     def test_literal_interior_spacing_preserved(self):
         assert canonicalize('s = "a  b";') == 's = " a  b " ;'
-        tokens = tokenize_line('s = "a  b";').tokens
-        assert [t.kind for t in tokens] == [
+        tokens = tokenize_line('s = "a  b";')[0]
+        assert [kind for _, kind in tokens] == [
             TokenKind.IDENTIFIER,
             TokenKind.PUNCTUATOR,
             TokenKind.STRING,
@@ -82,7 +78,7 @@ class TestOperators:
         assert canonicalize(raw) == expected
 
     def test_shift_assign_never_splits(self):
-        tokens = [t.text for t in tokenize_line("x>>=1").tokens]
+        tokens = [text for text, _ in tokenize_line("x>>=1")[0]]
         assert tokens == ["x", ">>=", "1"]
 
 
@@ -98,18 +94,14 @@ class TestNumbersAndLiterals:
         ],
     )
     def test_numeric_literals_single_token(self, raw, token):
-        tokens = tokenize_line(raw).tokens
-        assert len(tokens) == 1
-        assert tokens[0].text == token
-        assert tokens[0].kind is TokenKind.NUMBER
+        assert tokenize_line(raw) == ([(token, TokenKind.NUMBER)], [])
 
     def test_char_literal_padded(self):
         assert canonicalize("putchar('\\n');") == "putchar ( ' \\n ' ) ;"
 
     def test_string_escapes_respected(self):
-        tokens = tokenize_line('printf("a\\"b");').tokens
-        assert tokens[2].text == '" a\\"b "'
-        assert tokens[2].kind is TokenKind.STRING
+        tokens = tokenize_line('printf("a\\"b");')[0]
+        assert tokens[2] == ('" a\\"b "', TokenKind.STRING)
 
     @pytest.mark.parametrize(
         "raw, expected",
@@ -121,7 +113,7 @@ class TestNumbersAndLiterals:
     )
     def test_non_ascii_digit_is_a_punctuator(self, raw, expected):
         # str.isdigit() accepts these, but no C number starts with one
-        assert [(t.text, t.kind.value) for t in tokenize_line(raw).tokens] == expected
+        assert [(text, kind.value) for text, kind in tokenize_line(raw)[0]] == expected
 
     def test_unterminated_literal_logs_a_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="ibtforge.lexer"):
@@ -129,12 +121,13 @@ class TestNumbersAndLiterals:
         assert "unterminated literal at column 5" in caplog.text
 
     def test_unterminated_literal_reported_not_fatal(self):
-        tokenized = tokenize_line('x = "abc')
-        assert tokenized.diagnostics
-        assert tokenized.tokens[-1].text == '"abc'
-        assert tokenized.tokens[-1].kind is TokenKind.STRING
+        tokens, diagnostics = tokenize_line('x = "abc')
+        assert diagnostics
+        assert tokens[-1] == ('"abc', TokenKind.STRING)
         # fallback result still round-trips
-        assert canonicalize(tokenized.canonical) == tokenized.canonical
+        canonical = canonicalize('x = "abc')
+        assert canonical == " ".join(text for text, _ in tokens)
+        assert canonicalize(canonical) == canonical
 
 
 class TestPreprocessorLines:
@@ -143,16 +136,15 @@ class TestPreprocessorLines:
         assert canonicalize("#include < stdio . h >") == "#include <stdio.h>"
 
     def test_include_quoted_form(self):
-        tokens = tokenize_line('#include "mylib.h"').tokens
-        assert [t.text for t in tokens] == ["#include", '"mylib.h"']
+        tokens = tokenize_line('#include "mylib.h"')[0]
+        assert [text for text, _ in tokens] == ["#include", '"mylib.h"']
 
     def test_define_line(self):
         assert canonicalize("#define MAX 100") == "#define MAX 100"
 
     def test_hash_kind(self):
-        tokens = tokenize_line("#include <vector>").tokens
-        assert tokens[0].kind is TokenKind.PREPROCESSOR
-        assert tokens[1].kind is TokenKind.PREPROCESSOR
+        tokens = tokenize_line("#include <vector>")[0]
+        assert [kind for _, kind in tokens] == [TokenKind.PREPROCESSOR] * 2
 
 
 class TestComments:
@@ -203,7 +195,7 @@ class TestProperties:
     @given(st.lists(_token_strategy, min_size=1, max_size=12))
     def test_no_token_loss(self, tokens):
         raw = " ".join(tokens)
-        joined = "".join(t.text for t in tokenize_line(raw).tokens)
+        joined = "".join(text for text, _ in tokenize_line(raw)[0])
         assert joined == raw.replace(" ", "").replace("\t", "")
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40))
@@ -260,7 +252,7 @@ def reference_tokenize_line(raw):
             close = raw.find(">", i + 1)
             if close != -1:
                 name = "".join(raw[i + 1 : close].split())
-                tokens.append(Token("<" + name + ">", TokenKind.PREPROCESSOR))
+                tokens.append(("<" + name + ">", TokenKind.PREPROCESSOR))
                 i = close + 1
                 expect_header = False
                 continue
@@ -269,11 +261,11 @@ def reference_tokenize_line(raw):
             kind = TokenKind.STRING if c == '"' else TokenKind.CHAR
             if not closed:
                 diagnostics.append(f"unterminated literal at column {i - len(interior)}")
-                tokens.append(Token(c + interior, kind))
+                tokens.append((c + interior, kind))
             elif expect_header and c == '"':
-                tokens.append(Token(c + interior + c, kind))
+                tokens.append((c + interior + c, kind))
             else:
-                tokens.append(Token(c + _pad_interior(interior) + c, kind))
+                tokens.append((c + _pad_interior(interior) + c, kind))
             expect_header = False
             continue
         expect_header = False
@@ -283,7 +275,7 @@ def reference_tokenize_line(raw):
                 j += 1
             m = _REF_IDENT_RE.match(raw, j)
             directive = m.group(0) if m else ""
-            tokens.append(Token("#" + directive, TokenKind.PREPROCESSOR))
+            tokens.append(("#" + directive, TokenKind.PREPROCESSOR))
             i = m.end() if m else j
             if directive in ("include", "include_next"):
                 expect_header = True
@@ -291,14 +283,14 @@ def reference_tokenize_line(raw):
         if c.isdigit() or (c == "." and i + 1 < n and raw[i + 1].isdigit()):
             m = _REF_NUMBER_RE.match(raw, i)
             assert m is not None
-            tokens.append(Token(m.group(0), TokenKind.NUMBER))
+            tokens.append((m.group(0), TokenKind.NUMBER))
             i = m.end()
             continue
         m = _REF_IDENT_RE.match(raw, i)
         if m:
             text = m.group(0)
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(text, kind))
+            tokens.append((text, kind))
             i = m.end()
             continue
         op = next((o for o in _REF_OPS3 if raw.startswith(o, i)), None)
@@ -306,13 +298,9 @@ def reference_tokenize_line(raw):
             op = next((o for o in _REF_OPS2 if raw.startswith(o, i)), None)
         if op is None:
             op = c
-        tokens.append(Token(op, TokenKind.PUNCTUATOR))
+        tokens.append((op, TokenKind.PUNCTUATOR))
         i += len(op)
-    return TokenizedLine(
-        tokens=tuple(tokens),
-        canonical=" ".join(t.text for t in tokens),
-        diagnostics=tuple(diagnostics),
-    )
+    return tokens, diagnostics
 
 
 # Fragments that steer the lexers into every branch and state: directives at
@@ -344,28 +332,25 @@ def reference_callers(raw):
     """What ``canonicalize``, ``unpad_literals``, ``count_newline_keywords``
     and the translator's ``_lex`` return for ``raw``, derived from
     ``reference_tokenize_line``."""
-    tokenized = reference_tokenize_line(raw)
+    tokens = reference_tokenize_line(raw)[0]
+    literals = (TokenKind.STRING, TokenKind.CHAR)
     unpadded = []
-    for tok in tokenized.tokens:
-        text = tok.text
-        if tok.kind in (TokenKind.STRING, TokenKind.CHAR) and len(text) >= 2 and text[-1] == text[0]:
+    for text, kind in tokens:
+        if kind in literals and len(text) >= 2 and text[-1] == text[0]:
             interior = text[1:-1]
             if len(interior) >= 2 and interior[0] == " " and interior[-1] == " ":
                 text = text[0] + interior[1:-1] + text[0]
         unpadded.append(text)
-    endl = sum(
-        1
-        for tok in tokenized.tokens
-        if tok.text == "endl" and tok.kind not in (TokenKind.STRING, TokenKind.CHAR)
-    )
-    return tokenized.canonical, " ".join(unpadded), endl, reference_lex(raw)
+    endl = sum(1 for text, kind in tokens if text == "endl" and kind not in literals)
+    canonical = " ".join(text for text, _ in tokens)
+    return canonical, " ".join(unpadded), endl, reference_lex(raw)
 
 
 def reference_lex(line):
     prefix, rest = strip_prefix(line)
     slot = {TokenKind.IDENTIFIER: "ID", TokenKind.NUMBER: "NUM"}
     tags = [(t, None) for t in prefix.render().split()]
-    return tags + [(t.text, slot.get(t.kind)) for t in reference_tokenize_line(rest).tokens]
+    return tags + [(text, slot.get(kind)) for text, kind in reference_tokenize_line(rest)[0]]
 
 
 def callers(raw):
@@ -489,8 +474,8 @@ def _clean_lines_of(blanks):
     )
 
 
-# Lines whose only blank is the space, which _scan splits with str.split(" "),
-# and lines that mix in the other blanks, which it splits with a regex
+# Lines whose only blank is the space, and lines that mix in the other blanks,
+# which tokenize_line leaves inside the chunks it splits at spaces
 _clean_lines = st.one_of(_clean_lines_of(" "), _clean_lines_of(_REF_WS)).filter(_is_clean)
 
 
@@ -500,11 +485,9 @@ def reference_with_any_digits(raw):
     stands in for it in the reference."""
     digits = iter([c for c in raw if c.isdigit() and not c.isascii()])
     stand_in = "".join("\x01" if c.isdigit() and not c.isascii() else c for c in raw)
-    tokenized = reference_tokenize_line(stand_in)
-    tokens = tuple(
-        Token(next(digits), t.kind) if t.text == "\x01" else t for t in tokenized.tokens
-    )
-    return TokenizedLine(tokens, " ".join(t.text for t in tokens), tokenized.diagnostics)
+    tokens, diagnostics = reference_tokenize_line(stand_in)
+    tokens = [(next(digits), kind) if text == "\x01" else (text, kind) for text, kind in tokens]
+    return tokens, diagnostics
 
 
 @pytest.fixture
@@ -522,7 +505,7 @@ def _fill_chunk_cache(count):
     """Scan lines of new one-token chunks until the cache holds ``count``."""
     i = 0
     while len(_CHUNKS) < count:
-        _scan(f"fill{i}")
+        tokenize_line(f"fill{i}")
         i += 1
 
 
@@ -534,30 +517,30 @@ class TestChunkCache:
 
     def test_a_returned_list_is_the_callers_own(self):
         line = "for ( int i = 0 ; i < n ; i ++ )"
-        first = _scan(line)
+        first = tokenize_line(line)
         expected = _scan_tokens(line)
         assert first == expected
         first[0].append(("x", TokenKind.IDENTIFIER))
         first[0][0] = ("while", TokenKind.KEYWORD)
         first[1].append("diagnostic")
-        second = _scan(line)
+        second = tokenize_line(line)
         assert second == expected
         assert second[0] is not first[0] and second[1] is not first[1]
 
     def test_the_cache_holds_at_most_its_bound(self, empty_chunk_cache):
         lines = [f"v{i} = v{i} + {i} ;" for i in range(CHUNK_CACHE_SIZE + 50)]
         for line in lines:
-            _scan(line)
+            tokenize_line(line)
         assert len(_CHUNKS) == CHUNK_CACHE_SIZE
         # a stored chunk and one never stored lex as before
-        assert _scan(lines[0]) == _scan_tokens(lines[0])
-        assert _scan(lines[-1]) == _scan_tokens(lines[-1])
+        assert tokenize_line(lines[0]) == _scan_tokens(lines[0])
+        assert tokenize_line(lines[-1]) == _scan_tokens(lines[-1])
 
     def test_a_full_cache_keeps_its_chunks(self, empty_chunk_cache):
         _fill_chunk_cache(CHUNK_CACHE_SIZE)
         stored = dict(_CHUNKS)
         for line in ["late = fill0 + late2 ;", "  late  late\u00a0 ", "a \tlate3"]:
-            assert _scan(line) == _scan_tokens(line)
+            assert tokenize_line(line) == _scan_tokens(line)
         assert _CHUNKS == stored
         assert all(_CHUNKS[chunk] is tokens for chunk, tokens in stored.items())
 
@@ -565,10 +548,10 @@ class TestChunkCache:
         compact = "for(i=0;i<n;i++){a[i]=b[i]*c+d[i];}"
         assert len(compact) > CACHED_CHUNK_LEN
         for line in [compact, f"x = y ; {compact}", "a" * (CACHED_CHUNK_LEN + 1) + " ;"]:
-            assert _scan(line) == _scan_tokens(line)
+            assert tokenize_line(line) == _scan_tokens(line)
         assert not _CHUNKS
         line = "a" * CACHED_CHUNK_LEN + " ;"
-        assert _scan(line) == _scan_tokens(line)
+        assert tokenize_line(line) == _scan_tokens(line)
         assert len(_CHUNKS) == 2
 
     def test_threads_read_as_one_thread(self, empty_chunk_cache):
@@ -579,7 +562,7 @@ class TestChunkCache:
 
         def scan_all():
             start.wait()
-            results.append([_scan(line) for line in lines])
+            results.append([tokenize_line(line) for line in lines])
 
         threads = [threading.Thread(target=scan_all) for _ in range(4)]
         for t in threads:
@@ -601,12 +584,12 @@ class TestChunkCache:
 
         monkeypatch.setattr(lexer, "_CHUNKS_LOCK", RefusedLock())
         line = "late = late2 + 1 ;"
-        assert _scan(line) == _scan_tokens(line)
+        assert tokenize_line(line) == _scan_tokens(line)
 
     def test_a_line_is_cached_by_its_chunks_between_spaces(self, empty_chunk_cache):
         # a tab, form feed or vertical tab stays inside its chunk
         for line in ["x\t=\f1 ;", " x  = \v1\t;", "x \t ;"]:
-            assert _scan(line) == _scan_tokens(line)
+            assert tokenize_line(line) == _scan_tokens(line)
         assert set(_CHUNKS) == {"x\t=\f1", ";", "", "x", "=", "\v1\t;", "\t"}
 
     def test_threads_that_miss_at_once_keep_the_bound(self, empty_chunk_cache, monkeypatch):
@@ -628,7 +611,7 @@ class TestChunkCache:
             start.wait()
             for i in range(8):
                 line = f"w{worker}c{i} = {i} ;"
-                if _scan(line) != _scan_tokens(line):
+                if tokenize_line(line) != _scan_tokens(line):
                     mismatches.append(line)
 
         threads = [threading.Thread(target=miss, args=(w,)) for w in range(4)]

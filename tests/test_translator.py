@@ -366,8 +366,9 @@ def reference_abstract_pair(code_line, pseudo_line):
 
 
 class FreshAbstractionBackend(TemplateBackend):
-    """``fine_tune`` without the memo: every prefixed line is abstracted
-    afresh, by the reference, on every call."""
+    """``fine_tune`` without the memo's pairs and shapes: every prefixed
+    line is abstracted afresh, by the reference, on every call. Its elements
+    are interned only so that ``save_state`` has their texts."""
 
     def fine_tune(self, dataset, direction, config=None):
         config = dict(config or {})
@@ -386,6 +387,7 @@ class FreshAbstractionBackend(TemplateBackend):
                     if prefix and pseudo_line:
                         pseudo_line = apply_prefix(prefix, pseudo_line)
                     target, source = reference_abstract_pair(code_line, pseudo_line)
+                source, target = self._memo.intern(source), self._memo.intern(target)
                 table.pop(source, None)
                 table[source] = target
 
@@ -928,7 +930,7 @@ def json_dumps_table(backend):
 
 
 # literal text beyond the vocabulary: non-ASCII letters, astral characters,
-# quotes, backslashes and control characters all go through the encoder
+# quotes, backslashes and control characters all get a text from the memo
 odd_texts = st.text(
     alphabet=st.sampled_from(list("aZ_9 \"\\/\t\n\x00\x7féü中\u2028\U0001f600")), min_size=1, max_size=6
 )
@@ -955,36 +957,39 @@ def odd_tables(draw):
         )
     )
 )
-def test_encode_is_json_dumps(elems):
+def test_interned_texts_are_json_dumps(elems):
     expected = json.dumps(elems, separators=(",", ":"))
-    assert translator_module._encode(elems, {}) == expected
-    assert translator_module._encode(elems, WARM_TEXTS) == expected
+    for memo in (translator_module._AbstractionMemo(), WARM_MEMO):
+        interned = memo.intern(elems)
+        assert interned == tuple(elems)
+        assert "[" + ",".join(memo.texts[e] for e in interned) + "]" == expected
 
 
-# element -> JSON text, shared by every example of the encoder tests, so an
-# element that an earlier example encoded is read from the cache
-WARM_TEXTS: dict = {}
+# shared by every example of the memo text tests, so an element that an
+# earlier example interned is already held
+WARM_MEMO = translator_module._AbstractionMemo()
 
 
 @settings(max_examples=200, deadline=None)
 @given(records=odd_tables())
-def test_encode_from_one_warm_cache_is_json_dumps(records):
+def test_one_warm_memo_stores_json_dumps_texts(records):
     for rec in records:
         for side in ("source", "target"):
-            elems = [tuple(e) for e in rec[side]]
-            encoded = translator_module._encode(elems, WARM_TEXTS)
-            assert encoded == json.dumps(elems, separators=(",", ":"))
-    assert all(text == json.dumps(e, separators=(",", ":")) for e, text in WARM_TEXTS.items())
+            WARM_MEMO.intern([tuple(e) for e in rec[side]])
+    assert WARM_MEMO.texts.keys() == WARM_MEMO.elements.keys()
+    assert all(text == json.dumps(e, separators=(",", ":")) for e, text in WARM_MEMO.texts.items())
 
 
-def test_boolean_slot_indices_are_refused_as_the_cache_would_alias_them():
-    """``True == 1`` and they hash alike, so a cache keyed by element value
-    would write a boolean index as the integer it equals; the table parser
-    keeps such an element out of every table."""
-    texts = {}
-    assert translator_module._encode([("slot", 1, "ID")], texts) == '[["slot",1,"ID"]]'
-    assert translator_module._encode([("slot", True, "ID")], texts) == '[["slot",1,"ID"]]'
-    assert json.dumps([("slot", True, "ID")]) == '[["slot", true, "ID"]]'
+def test_boolean_slot_indices_are_refused_as_the_memo_would_alias_them():
+    """``True == 1`` and they hash alike, so the memo, keyed by element
+    value, would intern a boolean index as the integer element it equals and
+    write its text; the table parser keeps such an element out of every
+    table."""
+    memo = translator_module._AbstractionMemo()
+    (one,) = memo.intern([("slot", 1, "ID")])
+    (aliased,) = memo.intern([("slot", True, "ID")])
+    assert aliased is one and memo.texts[aliased] == '["slot",1,"ID"]'
+    assert json.dumps(("slot", True, "ID")) == '["slot", true, "ID"]'
     with pytest.raises(ValueError, match="bad template element"):
         translator_module._elements([["slot", True, "ID"]])
     assert translator_module._elements([["slot", 1, "ID"]]) == (("slot", 1, "ID"),)
@@ -1007,10 +1012,10 @@ class TestTableFile:
 
     @settings(max_examples=60, deadline=None)
     @given(records=odd_tables(), calls=fine_tune_calls)
-    def test_elements_without_a_cached_text_save_json_dumps_bytes(self, records, calls):
+    def test_backends_on_a_cold_memo_save_json_dumps_bytes(self, records, calls):
         """Each backend on a memo of its own: one that has interned nothing
         before its fine-tunes, and a loaded table, saved once, then
-        fine-tuned further with elements the memo holds no text for yet."""
+        fine-tuned further with elements the memo has not interned yet."""
         cold = TemplateBackend()
         cold._memo = translator_module._AbstractionMemo()
         for dataset, direction, config in calls:
