@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import TestCase
-from .judge import JudgeFn, JudgeVerdict, VerdictKind
+from .judge import SOURCE_NAME, JudgeFn, JudgeVerdict, VerdictKind
 from .lexer import unpad_literals
 from .translator import LineBeam
 
-# Recognized compiler diagnostic shapes: file:line:column: and file:line:
-_DIAGNOSTIC_PATTERNS = (
-    re.compile(r"^[^:\n]+:(\d+):\d+:\s*(?:fatal\s+)?error\s*:", re.MULTILINE),
-    re.compile(r"^[^:\n]+:(\d+):\s*(?:fatal\s+)?error\s*:", re.MULTILINE),
+# Error diagnostics located in the judged source, main.src:line:column: or
+# main.src:line:, as the judge names it; a location in a header names its own
+# path and does not match
+_DIAGNOSTIC_RE = re.compile(
+    rf"^{re.escape(SOURCE_NAME)}:(\d+):(?:\d+:)?\s*(?:fatal\s+)?error\s*:", re.MULTILINE
 )
 
 
@@ -35,15 +36,14 @@ class AssemblyResult:
 
 
 def error_lines(diagnostics: str, line_count: int) -> list[int]:
-    """All 0-based program line indices implicated by error diagnostics,
-    ascending; references outside the program (e.g. inside headers) are
-    dropped."""
+    """All 0-based program line indices implicated by error diagnostics in
+    the judged source file, ascending. Errors located in any other file,
+    such as a header, and line numbers past the program's end are dropped."""
     hits: set[int] = set()
-    for pattern in _DIAGNOSTIC_PATTERNS:
-        for m in pattern.finditer(diagnostics):
-            idx = int(m.group(1)) - 1
-            if 0 <= idx < line_count:
-                hits.add(idx)
+    for m in _DIAGNOSTIC_RE.finditer(diagnostics):
+        idx = int(m.group(1)) - 1
+        if 0 <= idx < line_count:
+            hits.add(idx)
     return sorted(hits)
 
 

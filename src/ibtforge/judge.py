@@ -97,7 +97,7 @@ _DEFAULT_COMPILERS = {
 @dataclass(frozen=True)
 class JudgeConfig:
     language: str = "c"
-    compiler_command: tuple[str, ...] | None = None  # template; {src}/{bin} substituted
+    compiler_command: tuple[str, ...] | None = None  # template; {src} is SOURCE_NAME in the cwd
     compile_timeout_s: float = 30.0
     run_timeout_s: float = 5.0
     memory_limit_mb: int = 256
@@ -121,6 +121,11 @@ class JudgeConfig:
         template = self.compiler_command or _DEFAULT_COMPILERS[self.language]
         return [arg.format(src=src, bin=bin_path) for arg in template]
 
+
+# The judged program's file name in its scratch directory. The compiler runs
+# there and is given this relative name, so its diagnostics locate a line of
+# the program as ``main.src:<line>:`` and a line of a header by another path.
+SOURCE_NAME = "main.src"
 
 # Bound on concurrently running compiler processes; the runner's evaluation
 # pool has at least this many threads.
@@ -177,22 +182,29 @@ def judge_program(source: str, tests: Sequence[TestCase], cfg: JudgeConfig) -> J
 def _judge_in_scratch(
     source: str, tests: Sequence[TestCase], cfg: JudgeConfig, scratch: Path
 ) -> JudgeVerdict:
-    src = scratch / "main.src"
     bin_path = scratch / "bin"
-    src.write_text(source if source.endswith("\n") else source + "\n", encoding="utf-8")
-    command = cfg.resolved_command(src, bin_path)
+    (scratch / SOURCE_NAME).write_text(
+        source if source.endswith("\n") else source + "\n", encoding="utf-8"
+    )
+    command = cfg.resolved_command(Path(SOURCE_NAME), bin_path)
     with _compile_semaphore:
         try:
-            compile_proc = subprocess.run(
+            compile_proc = subprocess.Popen(
                 command,
-                capture_output=True,
-                timeout=cfg.compile_timeout_s,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 cwd=scratch,
+                start_new_session=True,
             )
         except FileNotFoundError as exc:
             raise JudgeFailureError(f"compiler not found: {command[0]}") from exc
+        try:
+            _, diagnostics = compile_proc.communicate(timeout=cfg.compile_timeout_s)
         except subprocess.TimeoutExpired:
+            # kill the whole group, so no cc1, as or ld outlives the verdict;
             # treated as the program's fault, like an online judge would
+            _kill_group(compile_proc)
+            compile_proc.communicate()
             return JudgeVerdict(
                 kind=VerdictKind.COMPILE_ERROR,
                 diagnostics=f"compilation exceeded {cfg.compile_timeout_s}s",
@@ -200,7 +212,7 @@ def _judge_in_scratch(
     if compile_proc.returncode != 0:
         return JudgeVerdict(
             kind=VerdictKind.COMPILE_ERROR,
-            diagnostics=compile_proc.stderr.decode("utf-8", "backslashreplace"),
+            diagnostics=diagnostics.decode("utf-8", "backslashreplace"),
         )
     if not bin_path.exists():
         raise JudgeFailureError(f"compiler produced no binary: {' '.join(command)}")
@@ -251,9 +263,10 @@ def _judge_in_scratch(
                 per_test=tuple(per_test),
                 wall_time_ms=tuple(wall_times),
             )
-        want = normalize_output(test.expected_output, cfg.output_normalization)
-        got = normalize_output(stdout, cfg.output_normalization)
-        if want != got:
+        # equal bytes normalize equal, so only a mismatch is normalized
+        if stdout != test.expected_output and normalize_output(
+            test.expected_output, cfg.output_normalization
+        ) != normalize_output(stdout, cfg.output_normalization):
             per_test.append(False)
             return JudgeVerdict(
                 kind=VerdictKind.WRONG_ANSWER,
@@ -277,7 +290,12 @@ def _probe_wrapper(cfg: JudgeConfig, scratch: Path) -> None:
         raise JudgeFailureError("cannot probe the run-limit wrapper: true not found")
     probe = scratch / "probe"
     shutil.copy(true, probe)
-    ran = subprocess.run(_run_command(probe, cfg.memory_limit_mb), capture_output=True, cwd=scratch)
+    ran = subprocess.run(
+        _run_command(probe, cfg.memory_limit_mb),
+        capture_output=True,
+        cwd=scratch,
+        start_new_session=True,
+    )
     if ran.returncode != 0:
         raise JudgeFailureError(ran.stderr.decode("utf-8", "backslashreplace")[:500])
 

@@ -68,7 +68,10 @@ def strip_prefix(line: str) -> tuple[Prefix, str]:
 
 def count_newline_keywords(code_line: str) -> int:
     """Occurrences of the ``endl`` token outside string/char literals (a
-    literal token keeps its quotes, so it never reads ``endl``)."""
+    literal token keeps its quotes, so it never reads ``endl``). A token is
+    a substring of its line, so a line without ``endl`` is not lexed."""
+    if "endl" not in code_line:
+        return 0
     return sum(text == "endl" for text, _ in tokenize_line(code_line)[0])
 
 

@@ -94,7 +94,7 @@ class _CompileStub:
         choice = [int(line.rsplit("C", 1)[1]) for line in source.splitlines()]
         bad = [i for i, c in enumerate(choice) if c not in self.good_sets[i]]
         if bad:
-            diags = "".join(f"prog.c:{i + 1}:1: error: bad\n" for i in bad)
+            diags = "".join(f"main.src:{i + 1}:1: error: bad\n" for i in bad)
             return JudgeVerdict(kind=VerdictKind.COMPILE_ERROR, diagnostics=diags)
         return JudgeVerdict(kind=VerdictKind.ALL_PASSED, per_test=(True,))
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import subprocess
 from collections import Counter
 
 import pytest
@@ -16,7 +15,7 @@ from ibtforge.assembler import (
     error_lines,
 )
 from ibtforge.corpus import TestCase
-from ibtforge.judge import JudgeVerdict, VerdictKind
+from ibtforge.judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program
 from ibtforge.lexer import unpad_literals
 from ibtforge.translator import Candidate, LineBeam
 
@@ -57,7 +56,7 @@ class CompileStubJudge:
         self.judged_choices.append(choice)
         bad = [i for i, c in enumerate(choice) if c not in self.good_sets[i]]
         if bad:
-            diagnostics = "".join(f"prog.c:{i + 1}:1: error: bad line\n" for i in bad)
+            diagnostics = "".join(f"main.src:{i + 1}:1: error: bad line\n" for i in bad)
             return JudgeVerdict(kind=VerdictKind.COMPILE_ERROR, diagnostics=diagnostics)
         return JudgeVerdict(kind=VerdictKind.ALL_PASSED, per_test=(True,))
 
@@ -239,39 +238,82 @@ class TestCompileSource:
             assert set(unpadded.values()) == {1}
 
 
+# Declares FILE before stdio.h does, so gcc reports the conflict inside a
+# header (bits/types/FILE.h:7 with gcc 12 and glibc 2.36) and only notes
+# line 1; no line of this program is at fault on its own.
+C_ERROR_IN_A_HEADER = [
+    "typedef int FILE ;",
+    "#include <stdio.h>",
+    "int a ;",
+    "int b ;",
+    "int c ;",
+    "int e ;",
+    "int d ;",
+    "int main ( ) {",
+    "int x = 1 ;",
+    'printf ( "%d\\n" , x ) ;',
+    "x = x + 1 ;",
+    "return 0 ;",
+    "}",
+]
+
+
 class TestErrorLineParsing:
     def test_with_column(self):
-        assert error_lines("prog.c:3:5: error: expected ';'", 10) == [2]
+        assert error_lines("main.src:3:5: error: expected ';'", 10) == [2]
 
     def test_without_column(self):
-        assert error_lines("prog.c:4: error: something", 10) == [3]
+        assert error_lines("main.src:4: error: something", 10) == [3]
 
     def test_fatal_error(self):
         assert error_lines("main.src:1:10: fatal error: x.h: No such file", 5) == [0]
 
     def test_warnings_ignored(self):
-        diag = "prog.c:2:1: warning: unused variable 'x' [-Wunused]\n"
+        diag = "main.src:2:1: warning: unused variable 'x' [-Wunused]\n"
         assert error_lines(diag, 10) == []
 
     def test_reference_beyond_program_clamped(self):
-        diag = "/usr/include/broken.h:123:4: error: nope\n"
+        diag = "main.src:123:4: error: nope\n"
         assert error_lines(diag, 5) == []
 
+    def test_errors_in_other_files_are_dropped(self):
+        diag = (
+            "/usr/include/x86_64-linux-gnu/bits/types/FILE.h:7:25: error: conflicting types\n"
+            "prog.c:3:5: error: expected ';'\n"
+            "/tmp/judge-1/main.src:2:1: error: absolute\n"
+            "In file included from main.src:4:\n"
+            "main.src:1:13: note: previous declaration of 'FILE'\n"
+        )
+        assert error_lines(diag, 13) == []
+
     def test_multiple_errors_min_wins(self):
-        diag = "p.c:7:1: error: a\np.c:3:2: error: b\np.c:9:9: error: c\n"
+        diag = "main.src:7:1: error: a\nmain.src:3:2: error: b\nmain.src:9:9: error: c\n"
         assert error_lines(diag, 10) == [2, 6, 8]
 
     @requires_gcc
     def test_against_real_compiler_diagnostics(self, tmp_path):
-        src = tmp_path / "broken.src"
-        src.write_text("int main ( ) {\nint x ;\nx = ;\nreturn 0 ;\n}\n", encoding="utf-8")
-        proc = subprocess.run(
-            ["gcc", "-x", "c", "-fdiagnostics-color=never", str(src), "-o", str(tmp_path / "b")],
-            capture_output=True,
-            text=True,
+        source = "int main ( ) {\nint x ;\nx = ;\nreturn 0 ;\n}\n"
+        verdict = judge_program(source, TESTS, JudgeConfig(work_dir=str(tmp_path)))
+        assert verdict.kind is VerdictKind.COMPILE_ERROR
+        assert error_lines(verdict.diagnostics, 5) == [2]
+
+    @requires_gcc
+    def test_an_error_inside_a_header_names_no_program_line(self, tmp_path):
+        source = "\n".join(C_ERROR_IN_A_HEADER)
+        verdict = judge_program(source, TESTS, JudgeConfig(work_dir=str(tmp_path)))
+        assert verdict.kind is VerdictKind.COMPILE_ERROR
+        assert ": error: " in verdict.diagnostics
+        assert error_lines(verdict.diagnostics, len(C_ERROR_IN_A_HEADER)) == []
+        # so greedy repair advances no unrelated line and stops
+        beams = [
+            LineBeam(source=line, candidates=(Candidate(line, 0.0), Candidate(line, -1.0)))
+            for line in C_ERROR_IN_A_HEADER
+        ]
+        result = assemble(
+            beams, TESTS, 3, lambda s, t: judge_program(s, t, JudgeConfig(work_dir=str(tmp_path)))
         )
-        assert proc.returncode != 0
-        assert error_lines(proc.stderr, 5) == [2]
+        assert result.executions_used == 1
+        assert result.chosen_indices == (0,) * len(C_ERROR_IN_A_HEADER)
 
 
 class TestPreconditions:

@@ -135,6 +135,30 @@ def test_benchmark_hooks_install_and_restore():
     assert [name for name, value in before.items() if after[name] is not value] == []
 
 
+def test_judge_starts_every_process_in_a_session_of_its_own():
+    """A timeout kills the child's whole process group, which holds only
+    what the child started if the child leads a new session."""
+    unsessioned = []
+    for node in ast.walk(ast.parse((SRC / "judge.py").read_text(encoding="utf-8"))):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "subprocess"
+            and node.func.attr in ("Popen", "run")
+        ):
+            continue
+        sessioned = any(
+            k.arg == "start_new_session"
+            and isinstance(k.value, ast.Constant)
+            and k.value.value is True
+            for k in node.keywords
+        )
+        if not sessioned:
+            unsessioned.append(node.lineno)
+    assert not unsessioned, f"judge.py: subprocess calls without start_new_session=True {unsessioned}"
+
+
 def test_runner_swallows_no_infrastructure_fault():
     """A judge or backend fault stops the run at the last completed phase,
     so no handler in ``ibt.py`` may catch one, or catch everything."""

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
 import sys
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,15 @@ class TestNormalization:
         verdict = judge_program(C_OK, [TestCase(b"", b"2")], judge_cfg)
         assert verdict.kind is VerdictKind.ALL_PASSED
 
+    @requires_gcc
+    def test_equal_bytes_are_not_normalized(self, judge_cfg, monkeypatch):
+        def refuse(data, rule="strip-trailing"):
+            raise AssertionError(f"normalized {data!r}")
+
+        monkeypatch.setattr(judge_module, "normalize_output", refuse)
+        verdict = judge_program(C_OK, [TestCase(b"", b"2\n")], judge_cfg)
+        assert verdict.kind is VerdictKind.ALL_PASSED
+
 
 class TestConfig:
     @pytest.mark.parametrize("limit", [-1, 1, 2, 15])
@@ -159,6 +171,16 @@ class TestConfig:
         assert JudgeConfig(memory_limit_mb=limit).memory_limit_mb == limit
 
 
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited; an exited one may
+    stay a zombie until its new parent reaps it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
 @requires_gcc
 class TestInfrastructure:
     def test_missing_compiler_raises(self, tmp_path):
@@ -169,6 +191,30 @@ class TestInfrastructure:
         )
         with pytest.raises(JudgeFailureError):
             judge_program("int main(){}", [TestCase(b"", b"")], cfg)
+
+    def test_compile_timeout_kills_the_whole_compiler(self, tmp_path):
+        # a compiler driver that waits on a child, as gcc waits on cc1
+        pids = tmp_path / "pids"
+        fake = tmp_path / "cc"
+        fake.write_text(f"#!/bin/sh\nsleep 30 &\necho $$ $! > {pids}\nwait\n")
+        fake.chmod(0o755)
+        cfg = JudgeConfig(
+            compiler_command=(str(fake), "{src}", "-o", "{bin}"),
+            compile_timeout_s=1.0,
+            work_dir=str(tmp_path / "w"),
+        )
+        try:
+            verdict = judge_program(C_OK, [TestCase(b"", b"2\n")], cfg)
+            assert verdict.kind is VerdictKind.COMPILE_ERROR
+            assert verdict.diagnostics == "compilation exceeded 1.0s"
+            driver, child = map(int, pids.read_text().split())
+            assert not _running(driver)
+            assert not _running(child)
+        finally:
+            try:  # leave no sleep behind if the judge did
+                os.kill(int(pids.read_text().split()[1]), signal.SIGKILL)
+            except (OSError, ValueError, IndexError):
+                pass
 
     def test_empty_tests_rejected(self, judge_cfg):
         with pytest.raises(ValueError):
@@ -366,7 +412,7 @@ class TestVerdictMemo:
             choice = [int(line.rsplit("C", 1)[1]) for line in source.splitlines()]
             bad = [i for i, c in enumerate(choice) if c not in good[i]]
             if bad:
-                diagnostics = "".join(f"p.c:{i + 1}:1: error: bad\n" for i in bad)
+                diagnostics = "".join(f"main.src:{i + 1}:1: error: bad\n" for i in bad)
                 return JudgeVerdict(kind=VerdictKind.COMPILE_ERROR, diagnostics=diagnostics)
             return JudgeVerdict(kind=VerdictKind.ALL_PASSED, per_test=(True,))
 

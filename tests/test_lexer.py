@@ -388,7 +388,8 @@ class TestAgainstReference:
             (tokenize_line, "c = 'x"),
             (canonicalize, "c = 'x"),
             (unpad_literals, "c = 'x"),
-            (count_newline_keywords, "c = 'x"),
+            # the endl count lexes only a line that holds endl
+            (count_newline_keywords, "c = 'endl"),
             (_lex, "c = 'x"),
             (_lex, "<pl:c> <w:3> c = 'x"),
         ],
@@ -397,7 +398,7 @@ class TestAgainstReference:
         with caplog.at_level(logging.WARNING, logger="ibtforge.lexer"):
             call(raw)
         assert [r.getMessage() for r in caplog.records] == [
-            "tokenize_line: unterminated literal at column 5 in \"c = 'x\""
+            f"tokenize_line: unterminated literal at column 5 in {strip_prefix(raw)[1]!r}"
         ]
 
     @pytest.mark.parametrize(
@@ -435,10 +436,18 @@ class TestAgainstReference:
             "a\f = b ;",
             " \vx = 1 ;",
             "a \t\f\v b  c",
+            # endl inside a longer name, a literal or a comment, qualified,
+            # and between operators with no blank
+            "endless",
+            '"endl"',
+            "// endl",
+            "std::endl",
+            "<<endl<<",
         ],
     )
     def test_edge_lines(self, raw):
         assert tokenize_line(raw) == reference_tokenize_line(raw)
+        assert callers(raw) == reference_callers(raw)
 
 
 # ---------------------------------------------------------------------------

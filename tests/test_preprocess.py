@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import ibtforge.preprocess as preprocess_module
 from ibtforge.corpus import ParallelSample
 from ibtforge.preprocess import (
     Prefix,
@@ -29,6 +30,15 @@ class TestRewriteEndl:
     def test_endl_inside_literal_ignored(self):
         assert count_newline_keywords('cout << " endl " ;') == 0
         assert rewrite_endl('cout << " endl " ;', "print endl text") == "print endl text"
+
+    @pytest.mark.parametrize("code", ["x = 1 ;", "c = 'x", 'cout << "end l" ;', "endL ;", ""])
+    def test_a_line_without_endl_is_not_lexed(self, code, monkeypatch):
+        def refuse(line):
+            raise AssertionError(f"lexed {line!r}")
+
+        monkeypatch.setattr(preprocess_module, "tokenize_line", refuse)
+        assert count_newline_keywords(code) == 0
+        assert rewrite_endl(code, "print x") == "print x"
 
     def test_token_count_identity(self):
         code = "cout << a << endl << b << endl ;"
