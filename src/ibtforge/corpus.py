@@ -416,18 +416,6 @@ def load_mono(path: str | Path) -> list[MonoSample]:
     return [MonoSample.from_record(r) for r in _load_records(Path(path))]
 
 
-def file_entry(path: str | Path) -> dict:
-    """The manifest entry of a file read back from disk: its non-blank lines
-    and its sha256."""
-    digest = hashlib.sha256()
-    count = 0
-    with open(path, "rb") as fh:
-        for line in fh:
-            digest.update(line)
-            count += bool(line.strip())
-    return {"count": count, "sha256": digest.hexdigest()}
-
-
 def read_manifest(directory: str | Path) -> dict[str, dict]:
     """The entries of ``directory``'s ``manifest.json``, by file name; none
     when it is missing or unreadable."""

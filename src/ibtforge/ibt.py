@@ -1,11 +1,14 @@
 """Iteration driver: fine-tune both translation directions on the parallel
 corpus, expand every monolingual program through worker-prefixed forward
 translation, back-translate with beams, assemble and judge against test
-cases, then move passing programs (with their generated pseudocode) into the
-parallel corpus and repeat.
+cases, move passing programs (with their generated pseudocode) into the
+parallel corpus, report and repeat.
 
 Every phase boundary is snapshotted so a killed run resumes to the same
-final state as an uninterrupted one (given deterministic backends).
+final state as an uninterrupted one (given deterministic backends). A
+boundary is ``state.json`` (the last completed phase and the reports so far)
+plus the corpora it names: the evaluate phase ends by writing the next
+iteration's corpora, so its outcome lives in them and in its report.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .corpus import (
     MonoSample,
     ParallelSample,
     atomic_open,
-    file_entry,
     load_mono,
     load_parallel,
     move_to_parallel,
@@ -54,9 +56,9 @@ from .assembler import assemble
 
 log = logging.getLogger(__name__)
 
-PHASES = ("finetune-forward", "finetune-backward", "evaluate", "augment", "report")
+PHASES = ("finetune-forward", "finetune-backward", "evaluate", "report")
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class IbtError(Exception):
@@ -174,10 +176,6 @@ class IbtRunner:
         self.iteration = 0
         self.completed_phase: str | None = None
         self.finished = False
-        self._outcomes: dict | None = None
-        # manifest entries of the corpus files, read from manifest.json when
-        # the first snapshot is written and kept up to date from then on
-        self._entries: dict[str, dict] | None = None
         self._iter_started = time.monotonic()
 
         if resuming:
@@ -197,28 +195,22 @@ class IbtRunner:
         )
 
     def _snapshot_corpora(self, iteration: int, appended_from: int | None = None) -> None:
-        """Write D and Y as ``iteration``'s snapshot and list every corpus
-        file in the manifest. With ``appended_from``, D is only appended to
-        since the snapshot of the current iteration: the new D begins with
-        that file's bytes, and only the samples from ``appended_from`` on are
-        encoded."""
+        """Write D and Y as ``iteration``'s snapshot and set their entries in
+        the manifest from the bytes written. With ``appended_from``, D is
+        only appended to since the snapshot of the current iteration: the new
+        D begins with that file's bytes, and only the samples from
+        ``appended_from`` on are encoded."""
         if self.snapshot_dir is None:
             return
         d_path, y_path = self._corpus_paths(iteration)
-        entries = self._entries if self._entries is not None else read_manifest(self.snapshot_dir)
+        entries = read_manifest(self.snapshot_dir)
         if appended_from is None:
             entries[d_path.name] = save_parallel(self.parallel, d_path)
         else:
             previous = self._corpus_paths(self.iteration)[0]
             entries[d_path.name] = save_parallel(self.parallel[appended_from:], d_path, previous)
         entries[y_path.name] = save_mono(self.mono, y_path)
-        # a corpus file that neither this runner nor manifest.json accounts
-        # for is hashed from disk, once
-        self._entries = {
-            path.name: entries.get(path.name) or file_entry(path)
-            for path in sorted(self.snapshot_dir.glob("corpus.*.jsonl"))
-        }
-        write_manifest(self.snapshot_dir, self._entries)
+        write_manifest(self.snapshot_dir, entries)
 
     def _save_backend(self, direction: str) -> None:
         """Write the table of the backend that trained in ``direction``; a
@@ -256,23 +248,20 @@ class IbtRunner:
             raise IbtError(f"cannot resume: snapshot file {path.name} is missing")
         return path
 
-    def _read_json(self, name: str) -> dict:
-        path = self._required(self.snapshot_dir / name)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise IbtError(f"cannot resume: snapshot file {name} is not JSON: {exc}") from None
-        if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
-            raise IbtError(f"cannot resume: snapshot file {name} is not schema {SCHEMA_VERSION}")
-        return payload
-
     def _resume(self) -> None:
-        """Restore the state, corpora and evaluation that the last completed
-        phase left; refuse, naming the file, when one is missing or
-        unreadable. When a phase still to run fine-tunes or translates, every
-        completed fine-tune is replayed, in run order, on its iteration's D."""
+        """Restore the state and corpora that the last completed phase left;
+        refuse, naming the file, when one is missing, unreadable or holds
+        other than the programs the reports leave untested. When a phase
+        still to run fine-tunes or translates, every completed fine-tune is
+        replayed, in run order, on its iteration's D."""
         assert self.snapshot_dir is not None
-        state = self._read_json("state.json")
+        path = self._required(self.snapshot_dir / "state.json")
+        try:
+            state = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise IbtError(f"cannot resume: snapshot file state.json is not JSON: {exc}") from None
+        if not isinstance(state, dict) or state.get("schema_version") != SCHEMA_VERSION:
+            raise IbtError(f"cannot resume: snapshot file state.json is not schema {SCHEMA_VERSION}")
         try:
             if state["config"] != self.cfg.to_record():
                 raise IbtError("snapshot was produced under a different configuration")
@@ -289,17 +278,31 @@ class IbtRunner:
                     "cannot resume: state.json is malformed: no phase "
                     f"{self.completed_phase!r} of iteration {self.iteration!r} in this run"
                 )
-            if len(self.reports) != self.iteration:
+            # the evaluate phase appends its iteration's report
+            done = self._done()
+            evaluated = done > PHASES.index("evaluate")
+            if len(self.reports) != self.iteration + evaluated:
                 raise IbtError(
                     "cannot resume: state.json is malformed: "
-                    f"{len(self.reports)} reports before iteration {self.iteration}"
+                    f"{len(self.reports)} reports after phase {self.completed_phase!r} "
+                    f"of iteration {self.iteration}"
                 )
+            # the programs that Y must hold
+            if self.reports:
+                cumulative_success(self.reports, self.initial_mono_count)
+                untested = self.reports[-1].tested_count - self.reports[-1].passed_count
+            else:
+                untested = self.initial_mono_count
         except (KeyError, TypeError) as exc:
             raise IbtError(f"cannot resume: state.json is malformed: {exc!r}") from None
-        done = self._done()
-        d_path, y_path = self._corpus_paths(self.iteration + (done > PHASES.index("augment")))
+        d_path, y_path = self._corpus_paths(self.iteration + evaluated)
         self.parallel = load_parallel(self._required(d_path))
         self.mono = load_mono(self._required(y_path))
+        if len(self.mono) != untested:
+            raise IbtError(
+                f"cannot resume: snapshot file {y_path.name} holds {len(self.mono)} "
+                f"programs, but state.json leaves {untested} untested"
+            )
         # a run finishes in the report of its last iteration, or of one that
         # left no program untested
         if self.finished != (
@@ -310,13 +313,9 @@ class IbtRunner:
                 f"after phase {self.completed_phase!r} of iteration {self.iteration} "
                 f"with {len(self.mono)} programs untested"
             )
-        if done > PHASES.index("evaluate"):
-            self._outcomes = self._read_json(f"evaluation.{self.iteration}.json")
         # replay unless the run is finished or past its last evaluation; the
         # fine-tunes are each iteration's first two phases, in PHASES order
-        if not self.finished and (
-            done <= PHASES.index("evaluate") or self.iteration + 1 < self.cfg.iterations
-        ):
+        if not self.finished and (not evaluated or self.iteration + 1 < self.cfg.iterations):
             for i in range(self.iteration + bool(done)):
                 dataset = load_parallel(self._required(self._corpus_paths(i)[0]))
                 for direction in (FORWARD, BACKWARD)[: 2 if i < self.iteration else done]:
@@ -365,67 +364,47 @@ class IbtRunner:
     def _phase_evaluate(self) -> None:
         """Evaluate the samples on a pool sized for the judge. At most
         ``max_workers`` of them translate at once, so one sample's compiles
-        overlap the next one's translation; results keep the sample order."""
+        overlap the next one's translation; results keep the sample order.
+        Then report the iteration, move every passing variant into D and
+        snapshot the corpora the next iteration starts from."""
         workers = select_top_workers(self.parallel, self.cfg.workers_top_k)
         translating = threading.BoundedSemaphore(self.max_workers)
         with ThreadPoolExecutor(max_workers=max(self.max_workers, JUDGE_THREADS)) as pool:
             results = list(
                 pool.map(lambda y: self._evaluate_sample(y, workers, translating), self.mono)
             )
-        self._outcomes = {
-            "schema_version": SCHEMA_VERSION,
-            "iteration": self.iteration,
-            "passes": [
-                [sample.id, [[w, list(p)] for w, p in passing]]
-                for sample, passing in zip(self.mono, results)
-                if passing
-            ],
-        }
-        if self.snapshot_dir is not None:
-            _dump_json(self.snapshot_dir / f"evaluation.{self.iteration}.json", self._outcomes)
-
-    def _phase_augment(self) -> None:
-        assert self._outcomes is not None
-        passes = {entry[0]: entry[1] for entry in self._outcomes["passes"]}
-        remaining: list[MonoSample] = []
-        appended_from = len(self.parallel)
-        for sample in self.mono:
-            if sample.id in passes:
-                for worker, pseudo_lines in passes[sample.id]:
-                    self.parallel.append(
-                        move_to_parallel(sample, worker, list(pseudo_lines), self.iteration)
-                    )
-            else:
-                remaining.append(sample)
-        self.mono = remaining
-        validate_disjoint(self.parallel, self.mono)
-        self._snapshot_corpora(self.iteration + 1, appended_from)
-
-    def _phase_report(self) -> None:
-        """Report the iteration, then move on to the next one."""
-        assert self._outcomes is not None
-        passes = self._outcomes["passes"]
-        passed = len(passes)
-        # size of Y at iteration start: augmentation has removed the passed
-        # samples from the in-memory pool
-        tested_count = len(self.mono) + passed
+        tested_count = len(self.mono)
+        passed = sum(1 for passing in results if passing)
         report = IterationReport(
             iteration=self.iteration,
             tested_count=tested_count,
             passed_count=passed,
             success_rate_pct=100.0 * passed / tested_count if tested_count else 0.0,
             cumulative_success_rate_pct=0.0,
-            augmented_pairs_count=sum(len(entry[1]) for entry in passes),
-            wall_time_s=round(time.monotonic() - self._iter_started, 3),
+            augmented_pairs_count=sum(len(passing) for passing in results),
         )
         # also checks that each iteration tested what the previous one left
         report.cumulative_success_rate_pct = cumulative_success(
             [*self.reports, report], self.initial_mono_count
         )
-        self.reports.append(report)
+        appended_from = len(self.parallel)
+        for sample, passing in zip(self.mono, results):
+            self.parallel.extend(
+                move_to_parallel(sample, worker, pseudo_lines, self.iteration)
+                for worker, pseudo_lines in passing
+            )
+        self.mono = [sample for sample, passing in zip(self.mono, results) if not passing]
+        validate_disjoint(self.parallel, self.mono)
+        self._snapshot_corpora(self.iteration + 1, appended_from)
         if self.snapshot_dir is not None:
             d_path, y_path = self._corpus_paths(self.iteration + 1)
             report.snapshots = {"D": d_path.name, "Y": y_path.name}
+        report.wall_time_s = round(time.monotonic() - self._iter_started, 3)
+        self.reports.append(report)
+
+    def _phase_report(self) -> None:
+        """Write the reports so far, then move on to the next iteration."""
+        if self.snapshot_dir is not None:
             _dump_json(
                 self.snapshot_dir / "reports.json",
                 {
@@ -435,7 +414,6 @@ class IbtRunner:
                 },
             )
         self.iteration += 1
-        self._outcomes = None
         self.finished = not self.mono or self.iteration == self.cfg.iterations
 
     # -- main loop ---------------------------------------------------------------
@@ -446,12 +424,18 @@ class IbtRunner:
         phase, so a resumed runner starts at the first phase not completed.
         A phase that raises, as on a backend's ``TranslatorError`` or the
         judge's ``JudgeFailureError``, leaves ``state.json`` at the last
-        completed phase."""
+        completed phase. A ``stop_after`` naming no phase of an iteration of
+        the run is a ``ValueError``; one the run finishes before reaching is
+        not."""
+        if stop_after is not None:
+            iteration, phase = stop_after
+            if phase not in PHASES or iteration not in range(self.cfg.iterations):
+                raise ValueError(f"stop_after {stop_after!r} is no phase boundary of this run")
+            stop_after = (iteration, phase)
         steps = (
             lambda: self._phase_finetune(FORWARD),
             lambda: self._phase_finetune(BACKWARD),
             self._phase_evaluate,
-            self._phase_augment,
             self._phase_report,
         )
         while not self.finished and self.iteration < self.cfg.iterations:

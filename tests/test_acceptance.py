@@ -14,7 +14,7 @@ import pytest
 from conftest import build_mono_corpus, build_seed_parallel, requires_gcc, requires_gxx
 from ibtforge.assembler import assemble
 from ibtforge.corpus import TestCase
-from ibtforge.ibt import IbtConfig, IbtRunner, IterationReport
+from ibtforge.ibt import PHASES, IbtConfig, IbtRunner, IterationReport
 from ibtforge.judge import JudgeConfig, JudgeVerdict, VerdictKind, judge_program
 from ibtforge.lexer import canonicalize
 from ibtforge.metrics import corpus_bleu, cumulative_success, exact_match
@@ -227,8 +227,7 @@ def test_criterion_8_resumability(tmp_path):
     clean_dir = tmp_path / "uninterrupted"
     run(clean_dir)
     golden = _normalized_reports(clean_dir)
-    phases = ("finetune-forward", "finetune-backward", "evaluate", "augment", "report")
-    boundaries = [(i, p) for i in range(IBT_CFG.iterations) for p in phases]
+    boundaries = [(i, p) for i in range(IBT_CFG.iterations) for p in PHASES]
     for n, boundary in enumerate(boundaries):
         snap = tmp_path / f"killed-{n}"
         run(snap, stop_after=boundary)

@@ -327,7 +327,7 @@ class TestRunIbtCommand:
 
     @pytest.mark.parametrize(
         "boundary",
-        [(0, "finetune-forward"), (0, "finetune-backward"), (0, "report"), (1, "augment")],
+        [(0, "finetune-forward"), (0, "finetune-backward"), (0, "report"), (1, "evaluate")],
     )
     def test_resume_with_a_configured_table_reproduces_the_run(
         self, tmp_path, capsys, monkeypatch, boundary

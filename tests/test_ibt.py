@@ -354,7 +354,7 @@ class TestEvaluationPool:
         """A judge fault on one of five samples stops the run after the last
         completed phase, whether the samples are judged one or two at a
         time, and a rerun with a healthy judge reproduces the uninterrupted
-        run's reports, corpora and evaluation file."""
+        run's reports and corpora."""
         monkeypatch.setattr(ibt_module, "JUDGE_THREADS", pool)
 
         def healthy_judge(source, tests):
@@ -375,11 +375,7 @@ class TestEvaluationPool:
             return [{k: v for k, v in r.to_record().items() if k != "wall_time_s"} for r in reports]
 
         def outputs(snap):
-            return {
-                p.name: p.read_bytes()
-                for pattern in ("corpus.*.jsonl", "evaluation.*.json")
-                for p in snap.glob(pattern)
-            }
+            return {p.name: p.read_bytes() for p in snap.glob("corpus.*.jsonl")}
 
         clean = run(tmp_path / "clean", healthy_judge)
         assert clean[0]["passed_count"] == 3
@@ -388,7 +384,7 @@ class TestEvaluationPool:
             run(snap, faulty_judge)
         state = json.loads((snap / "state.json").read_text())
         assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
-        assert not (snap / "evaluation.0.json").exists()
+        assert not (snap / "corpus.D.1.jsonl").exists()
         assert run(snap, healthy_judge) == clean
         assert outputs(snap) == outputs(tmp_path / "clean")
 
@@ -474,13 +470,16 @@ class TestResumability:
             assert self._manifest_is_fresh(snap) == manifest, boundary
 
     @pytest.mark.parametrize("iteration", range(CFG.iterations))
-    def test_kill_during_augment_rebuilds_d_from_the_previous_snapshot(
+    def test_kill_during_the_corpus_writes_rebuilds_d_from_the_previous_snapshot(
         self, tmp_path, monkeypatch, iteration
     ):
+        """A kill between the two corpus writes that end the evaluate phase
+        leaves ``state.json`` before it, so the resume judges the iteration
+        again and writes both files anew."""
         clean = tmp_path / "clean"
         self._run(clean)
         snap = tmp_path / "s"
-        self._run(snap, stop_after=(iteration, "evaluate"))
+        self._run(snap, stop_after=(iteration, "finetune-backward"))
         d_next = snap / f"corpus.D.{iteration + 1}.jsonl"
 
         def killed(samples, path):
@@ -502,9 +501,11 @@ class TestResumability:
         assert self._manifest_is_fresh(snap) == (clean / "manifest.json").read_text()
 
     def test_recovering_a_finished_run_reads_only_state_and_corpora(self, tmp_path, monkeypatch):
-        snap = tmp_path / "s"
-        reports = self._run(snap)
+        """So does recovering a run stopped after its last evaluation: the
+        corpora are those the evaluation wrote, and nothing is replayed."""
+        reports = self._run(tmp_path / "finished")
         last = len(reports)
+        self._run(tmp_path / "evaluated", stop_after=(last - 1, "evaluate"))
         opened = []
         real_open = io.open
 
@@ -514,28 +515,13 @@ class TestResumability:
 
         monkeypatch.setattr(io, "open", recording_open)
         monkeypatch.setattr(builtins, "open", recording_open)
-        self._run(snap)
+        self._run(tmp_path / "finished")
+        finished, opened[:] = list(opened), []
+        self._runner(tmp_path / "evaluated")
         monkeypatch.undo()
-        assert sorted(opened) == sorted(
-            ["state.json", f"corpus.D.{last}.jsonl", f"corpus.Y.{last}.jsonl"]
-        )
-
-    def test_unlisted_corpus_file_is_hashed_once(self, tmp_path, monkeypatch):
-        snap = tmp_path / "s"
-        snap.mkdir()
-        (snap / "corpus.extra.jsonl").write_text('{"a":1}\n\n{"b":2}\n')
-        hashed = []
-        real_entry = ibt_module.file_entry
-
-        def counting_entry(path):
-            hashed.append(path.name)
-            return real_entry(path)
-
-        monkeypatch.setattr(ibt_module, "file_entry", counting_entry)
-        self._run(snap)
-        assert hashed == ["corpus.extra.jsonl"]
-        files = json.loads(self._manifest_is_fresh(snap))["files"]
-        assert files["corpus.extra.jsonl"]["count"] == 2
+        expected = sorted(["state.json", f"corpus.D.{last}.jsonl", f"corpus.Y.{last}.jsonl"])
+        assert sorted(finished) == expected
+        assert sorted(opened) == expected
 
     def test_state_file_round_trip(self, tmp_path):
         self._run(tmp_path / "s", stop_after=(0, "evaluate"))
@@ -548,7 +534,7 @@ class TestResumability:
         assert final["finished"]
         assert len(resumed) == 2
 
-    @pytest.mark.parametrize("boundary", [(0, "finetune-forward"), (0, "augment"), (1, "evaluate")])
+    @pytest.mark.parametrize("boundary", [(0, "finetune-forward"), (0, "evaluate"), (1, "evaluate")])
     def test_resume_does_not_preprocess_the_input(self, tmp_path, monkeypatch, boundary):
         baseline = self._normalized(self._run(tmp_path / "clean"))
         preprocessed = []
@@ -568,9 +554,14 @@ class TestResumability:
     def test_snapshot_files_written(self, tmp_path):
         self._run(tmp_path / "s")
         names = {p.name for p in (tmp_path / "s").iterdir()}
-        assert {"corpus.D.0.jsonl", "corpus.Y.0.jsonl", "corpus.D.2.jsonl"} <= names
-        assert {"state.json", "reports.json", "manifest.json"} <= names
-        assert {"forward.table.jsonl", "backward.table.jsonl"} <= names
+        assert names == {
+            *(f"corpus.{kind}.{i}.jsonl" for kind in "DY" for i in range(CFG.iterations + 1)),
+            "state.json",
+            "reports.json",
+            "manifest.json",
+            "forward.table.jsonl",
+            "backward.table.jsonl",
+        }
 
     def test_clean_run_leaves_no_tmp_files(self, tmp_path):
         self._run(tmp_path / "s")
@@ -582,8 +573,9 @@ class TestResumability:
             # read only to replay iteration 0's fine-tunes
             ((0, "report"), "corpus.D.0.jsonl"),
             ((1, "finetune-backward"), "corpus.D.0.jsonl"),
-            ((0, "evaluate"), "evaluation.0.json"),
-            ((0, "augment"), "evaluation.0.json"),
+            # the evaluation's outcome is the next iteration's corpora
+            ((0, "evaluate"), "corpus.D.1.jsonl"),
+            ((0, "evaluate"), "corpus.Y.1.jsonl"),
         ],
     )
     def test_resume_refuses_a_missing_file(self, tmp_path, boundary, missing):
@@ -679,7 +671,7 @@ class TestResumability:
             self._run(snap, **flaky)
         state = json.loads((snap / "state.json").read_text())
         assert (state["iteration"], state["completed_phase"]) == (0, "finetune-backward")
-        assert not (snap / "evaluation.0.json").exists()
+        assert not (snap / "corpus.D.1.jsonl").exists()
         resumed = self._run(snap, **flaky)
         clean = self._run(tmp_path / "clean")
         assert self._normalized(resumed) == self._normalized(clean)
@@ -708,8 +700,9 @@ class TestResumability:
         self._run(snap, boundary, *backends()[1:])
         replayed, forward, backward = backends()
         assert self._normalized(self._run(snap, None, forward, backward)) == baseline
-        # from (1, "evaluate") on only augment and report are left
-        assert replayed == (calls if boundary in BOUNDARIES[:7] else [])
+        # after the last evaluation only its report is left
+        last_evaluation = BOUNDARIES.index((CFG.iterations - 1, "evaluate"))
+        assert replayed == (calls if boundary in BOUNDARIES[:last_evaluation] else [])
 
     @staticmethod
     def _damage(path, how):
@@ -779,7 +772,7 @@ class TestResumability:
         with pytest.raises(IbtError, match=re.escape("cannot resume: state.json is malformed: ")):
             self._runner(snap)
 
-    @pytest.mark.parametrize("boundary", [(0, "evaluate"), (0, "report"), (1, "augment")])
+    @pytest.mark.parametrize("boundary", [(0, "evaluate"), (0, "report"), (1, "evaluate")])
     def test_resume_refuses_a_state_file_finished_before_the_end(self, tmp_path, boundary):
         snap = tmp_path / "s"
         self._run(snap, stop_after=boundary)
@@ -808,28 +801,69 @@ class TestResumability:
         state = json.loads((snap / "state.json").read_text())
         del state["reports"][0]
         (snap / "state.json").write_text(json.dumps(state))
-        message = f"malformed: {state['iteration'] - 1} reports before iteration {state['iteration']}"
+        message = (
+            f"malformed: {len(state['reports'])} reports after phase "
+            f"{state['completed_phase']!r} of iteration {state['iteration']}"
+        )
         with pytest.raises(IbtError, match=re.escape(message)):
             self._runner(snap)
 
-    @pytest.mark.parametrize("version", [None, 0, 1, 99, "2"])
+    @pytest.mark.parametrize("version", [None, 0, 1, 2, 99, "3"])
     def test_resume_refuses_a_foreign_schema_version(self, tmp_path, version):
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "evaluate"))
         state = json.loads((snap / "state.json").read_text())
         state["schema_version"] = version
         (snap / "state.json").write_text(json.dumps(state))
-        with pytest.raises(IbtError, match="snapshot file state.json is not schema 2"):
+        with pytest.raises(IbtError, match="snapshot file state.json is not schema 3"):
             self._runner(snap)
 
-    @pytest.mark.parametrize("name", ["state.json", "evaluation.0.json"])
-    def test_resume_refuses_a_snapshot_file_that_is_not_json(self, tmp_path, name):
+    def test_resume_refuses_a_snapshot_file_that_is_not_json(self, tmp_path):
         snap = tmp_path / "s"
-        self._run(snap, stop_after=(0, "augment"))
-        path = snap / name
+        self._run(snap, stop_after=(0, "evaluate"))
+        path = snap / "state.json"
         path.write_text(path.read_text()[:-5])
-        with pytest.raises(IbtError, match=re.escape(f"snapshot file {name} is not JSON: ")):
+        with pytest.raises(IbtError, match=re.escape("snapshot file state.json is not JSON: ")):
             self._runner(snap)
+
+    @pytest.mark.parametrize(
+        "boundary, halved",
+        [
+            ((0, "finetune-backward"), "corpus.Y.0.jsonl"),
+            ((0, "evaluate"), "corpus.Y.1.jsonl"),
+            ((0, "report"), "corpus.Y.1.jsonl"),
+            ((1, "finetune-backward"), "corpus.Y.1.jsonl"),
+        ],
+    )
+    def test_resume_refuses_a_y_that_the_reports_do_not_leave(self, tmp_path, boundary, halved):
+        """Y at the boundary holds the initial programs before any report,
+        and then those the last report left untested."""
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        self._damage(snap / halved, "halve")
+        message = f"cannot resume: snapshot file {halved} holds "
+        with pytest.raises(IbtError, match=re.escape(message)):
+            self._runner(snap)
+
+    @pytest.mark.parametrize(
+        "stop_after",
+        [(0, "augment"), (0, "bogus"), (-1, "evaluate"), (CFG.iterations, "evaluate"), ("0", "evaluate")],
+    )
+    def test_stop_after_names_a_phase_boundary_of_the_run(self, tmp_path, stop_after):
+        runner = self._runner(tmp_path / "s")
+        with pytest.raises(ValueError, match="is no phase boundary of this run"):
+            runner.run(stop_after=stop_after)
+        state = json.loads((tmp_path / "s" / "state.json").read_text())
+        assert (state["iteration"], state["completed_phase"]) == (0, None)
+
+    def test_stop_after_a_boundary_the_run_finishes_before_is_valid(self, tmp_path):
+        """A run whose first iteration passes every program ends there."""
+        reports = IbtRunner(
+            build_seed_parallel(), build_mono_corpus(), TemplateBackend(), TemplateBackend(),
+            CFG, judge_fn=passing_judge, snapshot_dir=tmp_path / "s",
+        ).run(stop_after=(CFG.iterations - 1, "evaluate"))
+        assert [(r.tested_count, r.passed_count) for r in reports] == [(2, 2)]
+        assert json.loads((tmp_path / "s" / "state.json").read_text())["finished"]
 
     @pytest.mark.parametrize("bad_byte", [False, True], ids=["cut", "0xff"])
     def test_resume_refuses_a_torn_corpus_naming_its_line(self, tmp_path, bad_byte):
