@@ -11,8 +11,9 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .lexer import canonicalize, strip_comments
 
@@ -42,6 +43,14 @@ def _b2s(data: bytes) -> str:
 
 def _s2b(text: str) -> bytes:
     return text.encode("utf-8", "surrogateescape")
+
+
+def _list(value: list) -> list:
+    """A copy of a record's list field; a string, which ``list()`` would
+    split into characters, or any other non-list is refused."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, not {type(value).__name__}")
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -106,9 +115,9 @@ class ParallelSample:
             id=rec["id"],
             language=rec["language"],
             worker=int(rec["worker"]),
-            code_lines=list(rec["code_lines"]),
-            pseudo_lines=list(rec["pseudo_lines"]),
-            tests=[TestCase.from_record(t) for t in rec.get("tests", [])],
+            code_lines=_list(rec["code_lines"]),
+            pseudo_lines=_list(rec["pseudo_lines"]),
+            tests=[TestCase.from_record(t) for t in _list(rec.get("tests", []))],
             preprocessed=bool(rec.get("preprocessed", False)),
             origin=rec.get("origin", ORIGIN_SEED),
             problem=rec.get("problem"),
@@ -149,8 +158,8 @@ class MonoSample:
         return cls(
             id=rec["id"],
             language=rec.get("language", "c"),
-            code_lines=list(rec["code_lines"]),
-            tests=[TestCase.from_record(t) for t in rec["tests"]],
+            code_lines=_list(rec["code_lines"]),
+            tests=[TestCase.from_record(t) for t in _list(rec["tests"])],
             problem=rec.get("problem"),
         )
 
@@ -355,12 +364,55 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
+# the bytes that JSON writes as themselves, and the three whitespace bytes
+# that it writes as two-character escapes; every other byte below 0x20, DEL and
+# non-ASCII take the general path
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
+def _escape(data: bytes) -> bytes:
+    """The inside of the JSON string that ``json.dumps`` writes for the
+    surrogateescape text of ``data``; plain ASCII is escaped straight from
+    the bytes."""
+    if data.isascii() and not data.translate(None, _PLAIN):
+        # the backslash first, so that no escape added here is escaped again
+        escaped = data.replace(b"\\", b"\\\\").replace(b'"', b'\\"')
+        return escaped.replace(b"\n", b"\\n").replace(b"\r", b"\\r").replace(b"\t", b"\\t")
+    return encode_basestring_ascii(_b2s(data))[1:-1].encode()
+
+
+def _record_line(sample: ParallelSample | MonoSample) -> bytes:
+    """``sample.to_record()`` as one line of sorted, compact JSON. The test
+    payloads are spliced in at the ``tests`` key from their bytes, so they
+    are neither decoded to text nor scanned by ``json.dumps``, and each is
+    copied once more, into the line."""
+    if not sample.tests:
+        line = json.dumps(sample.to_record(), sort_keys=True, separators=(",", ":"))
+        return line.encode() + b"\n"
+    # the record's fields are the sample's; every quote inside a JSON string
+    # is escaped, so '"tests":0' can only be the key and its placeholder
+    text = json.dumps({**vars(sample), "tests": 0}, sort_keys=True, separators=(",", ":"))
+    head, _, tail = text.partition('"tests":0')
+    parts = [head.encode(), b'"tests":[']
+    for t in sample.tests:
+        parts += (
+            b'{"expected_output":"', _escape(t.expected_output),
+            b'","input":"', _escape(t.input), b'"}', b",",
+        )
+    # the comma after the last test ends the list instead
+    parts[-1] = b"]"
+    parts += (tail.encode(), b"\n")
+    return b"".join(parts)
+
+
 def _dump_records(
-    records: Iterable[dict], path: str | Path, prefix: str | Path | None = None
+    samples: Iterable[ParallelSample | MonoSample],
+    path: str | Path,
+    prefix: str | Path | None = None,
 ) -> dict:
-    """Write one JSON record per line, after the bytes of ``prefix`` when it
-    is given, and return the file's manifest entry: its record count and the
-    sha256 of the bytes written."""
+    """Write one JSON record per sample and line, after the bytes of
+    ``prefix`` when it is given, and return the file's manifest entry: its
+    record count and the sha256 of the bytes written."""
     digest = hashlib.sha256()
     count = 0
     with atomic_open(path, "wb") as fh:
@@ -370,12 +422,10 @@ def _dump_records(
                     digest.update(chunk)
                     fh.write(chunk)
                     count += chunk.count(b"\n")
-        for rec in records:
-            line = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        for sample in samples:
+            line = _record_line(sample)
             digest.update(line)
-            digest.update(b"\n")
             fh.write(line)
-            fh.write(b"\n")
             count += 1
     return {"count": count, "sha256": digest.hexdigest()}
 
@@ -385,16 +435,19 @@ def save_parallel(
 ) -> dict:
     """Write ``samples`` to ``path``, after the bytes of the snapshot file
     ``prefix`` when it is given; return the file's manifest entry."""
-    return _dump_records((s.to_record() for s in samples), path, prefix)
+    return _dump_records(samples, path, prefix)
 
 
 def save_mono(samples: Iterable[MonoSample], path: str | Path) -> dict:
     """Write ``samples`` to ``path``; return the file's manifest entry."""
-    return _dump_records((s.to_record() for s in samples), path)
+    return _dump_records(samples, path)
 
 
-def _load_records(path: Path) -> list[dict]:
-    records = []
+_Sample = TypeVar("_Sample", ParallelSample, MonoSample)
+
+
+def _load_records(path: Path, from_record: Callable[[dict], _Sample]) -> list[_Sample]:
+    samples = []
     # a record with large test payloads can be a line of hundreds of KB, which
     # a default-sized buffer reads back in many small pieces
     with path.open("rb", buffering=1 << 20) as fh:
@@ -402,18 +455,18 @@ def _load_records(path: Path) -> list[dict]:
             try:
                 line = line.decode("utf-8").strip()
                 if line:
-                    records.append(json.loads(line))
-            except ValueError as exc:
+                    samples.append(from_record(json.loads(line)))
+            except (ValueError, LookupError, TypeError, AttributeError, LengthMismatch) as exc:
                 raise MalformedRow(f"{path}:{lineno}: malformed record: {exc}") from None
-    return records
+    return samples
 
 
 def load_parallel(path: str | Path) -> list[ParallelSample]:
-    return [ParallelSample.from_record(r) for r in _load_records(Path(path))]
+    return _load_records(Path(path), ParallelSample.from_record)
 
 
 def load_mono(path: str | Path) -> list[MonoSample]:
-    return [MonoSample.from_record(r) for r in _load_records(Path(path))]
+    return _load_records(Path(path), MonoSample.from_record)
 
 
 def read_manifest(directory: str | Path) -> dict[str, dict]:

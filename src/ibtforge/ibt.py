@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +59,7 @@ log = logging.getLogger(__name__)
 
 PHASES = ("finetune-forward", "finetune-backward", "evaluate", "report")
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class IbtError(Exception):
@@ -172,6 +173,7 @@ class IbtRunner:
         self.mono = list(mono)
         validate_disjoint(self.parallel, self.mono)
         self.reports: list[IterationReport] = []
+        self.initial_parallel_count = len(self.parallel)
         self.initial_mono_count = len(self.mono)
         self.iteration = 0
         self.completed_phase: str | None = None
@@ -230,6 +232,7 @@ class IbtRunner:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": self.cfg.to_record(),
+            "initial_parallel_count": self.initial_parallel_count,
             "initial_mono_count": self.initial_mono_count,
             "iteration": self.iteration,
             "completed_phase": self.completed_phase,
@@ -251,9 +254,10 @@ class IbtRunner:
     def _resume(self) -> None:
         """Restore the state and corpora that the last completed phase left;
         refuse, naming the file, when one is missing, unreadable or holds
-        other than the programs the reports leave untested. When a phase
-        still to run fine-tunes or translates, every completed fine-tune is
-        replayed, in run order, on its iteration's D."""
+        other than the samples the reports leave in D or the programs they
+        leave untested in Y. When a phase still to run fine-tunes or
+        translates, every completed fine-tune is replayed, in run order, on
+        its iteration's D."""
         assert self.snapshot_dir is not None
         path = self._required(self.snapshot_dir / "state.json")
         try:
@@ -265,6 +269,7 @@ class IbtRunner:
         try:
             if state["config"] != self.cfg.to_record():
                 raise IbtError("snapshot was produced under a different configuration")
+            self.initial_parallel_count = state["initial_parallel_count"]
             self.initial_mono_count = state["initial_mono_count"]
             self.iteration = state["iteration"]
             self.completed_phase = state["completed_phase"]
@@ -287,7 +292,14 @@ class IbtRunner:
                     f"{len(self.reports)} reports after phase {self.completed_phase!r} "
                     f"of iteration {self.iteration}"
                 )
+            # the samples that D must hold in each iteration's snapshot, and
             # the programs that Y must hold
+            d_counts = list(
+                accumulate(
+                    (r.augmented_pairs_count for r in self.reports),
+                    initial=self.initial_parallel_count,
+                )
+            )
             if self.reports:
                 cumulative_success(self.reports, self.initial_mono_count)
                 untested = self.reports[-1].tested_count - self.reports[-1].passed_count
@@ -295,9 +307,20 @@ class IbtRunner:
                 untested = self.initial_mono_count
         except (KeyError, TypeError) as exc:
             raise IbtError(f"cannot resume: state.json is malformed: {exc!r}") from None
-        d_path, y_path = self._corpus_paths(self.iteration + evaluated)
-        self.parallel = load_parallel(self._required(d_path))
-        self.mono = load_mono(self._required(y_path))
+
+        def load_d(k: int) -> list[ParallelSample]:
+            path = self._required(self._corpus_paths(k)[0])
+            dataset = load_parallel(path)
+            if len(dataset) != d_counts[k]:
+                raise IbtError(
+                    f"cannot resume: snapshot file {path.name} holds {len(dataset)} "
+                    f"samples, but state.json leaves {d_counts[k]} in D"
+                )
+            return dataset
+
+        self.parallel = load_d(self.iteration + evaluated)
+        y_path = self._required(self._corpus_paths(self.iteration + evaluated)[1])
+        self.mono = load_mono(y_path)
         if len(self.mono) != untested:
             raise IbtError(
                 f"cannot resume: snapshot file {y_path.name} holds {len(self.mono)} "
@@ -317,7 +340,7 @@ class IbtRunner:
         # fine-tunes are each iteration's first two phases, in PHASES order
         if not self.finished and (not evaluated or self.iteration + 1 < self.cfg.iterations):
             for i in range(self.iteration + bool(done)):
-                dataset = load_parallel(self._required(self._corpus_paths(i)[0]))
+                dataset = load_d(i)
                 for direction in (FORWARD, BACKWARD)[: 2 if i < self.iteration else done]:
                     self._fine_tune(direction, i, dataset)
         log.info(

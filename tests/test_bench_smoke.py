@@ -6,7 +6,9 @@ translates two at a time, with annotator variants that back-translate to the
 same program, so it checks the verdict memo under threads against the
 benchmark's program labels. The traced resume run replaces ``ibtforge.ibt``
 module functions by name and reads snapshots back, so it fails if the runner
-stops calling them."""
+stops calling them. One full-size resume run checks the reports, corpora and
+tables it writes against the digests recorded in ``perfbench/digests.json``,
+which the smoke runs do not."""
 
 from __future__ import annotations
 
@@ -20,12 +22,12 @@ from conftest import requires_gcc
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _smoke_run(workload: str, trace: int = 0) -> dict:
+def _bench_run(workload: str, seed: int, trace: int = 0, smoke: bool = True) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py",
-            "--workload", workload, "--seed", "3",
-            "--seconds", "1", "--trace", str(trace), "--smoke",
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", "1", "--trace", str(trace), *["--smoke"] * smoke,
         ],
         cwd=ROOT,
         capture_output=True,
@@ -34,6 +36,10 @@ def _smoke_run(workload: str, trace: int = 0) -> dict:
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _smoke_run(workload: str, trace: int = 0) -> dict:
+    return _bench_run(workload, 3, trace)
 
 
 @requires_gcc
@@ -63,3 +69,10 @@ def test_traced_resume_smoke_run_is_correct():
     metrics = result["metrics"]
     assert metrics["ibt.snapshot.bytes_written"]["value"] > 0
     assert metrics["corpus.load_s"]["value"] > 0
+
+
+@requires_gcc
+def test_resume_run_matches_the_recorded_digests():
+    result = _bench_run("resume", 4, smoke=False)
+    assert result["correct"] is True
+    assert result["failed"] == 0

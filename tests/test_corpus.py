@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from ibtforge.corpus import (
     CorpusError,
     IngestStats,
     LengthMismatch,
+    MalformedRow,
     MonoSample,
     ParallelSample,
     TestCase,
@@ -209,12 +211,39 @@ class TestPersistence:
         record = {"id": "p:blank", "code_lines": ["int main ( ) {", "", "}"], "tests": tests}
         path = tmp_path / "y.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match="p:blank: code line 2 is empty"):
+        message = f"{path}:1: malformed record: p:blank: code line 2 is empty"
+        with pytest.raises(MalformedRow, match=re.escape(message)):
             load_mono(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id":"x"}',
+            "[1,2]",
+            "null",
+            '{"id":"x","code_lines":["int a ;"],"tests":[{"input":5,"expected_output":""}]}',
+            '{"id":"x","code_lines":"int a ;","tests":[{"input":"","expected_output":""}]}',
+            '{"id":"x","code_lines":["int a ;"],"tests":"ab"}',
+            '{"id":"x","code_lines":["int a ;"],"tests":{"input":""}}',
+        ],
+        ids=["no-fields", "list", "null", "int-payload", "string-lines", "string-tests", "dict-tests"],
+    )
+    @pytest.mark.parametrize("load", [load_parallel, load_mono])
+    def test_a_record_of_the_wrong_shape_is_refused_naming_the_file_and_line(
+        self, tmp_path, load, line
+    ):
+        good = ParallelSample("a:1:1", "c", 1, ["x = 1 ;"], ["set x to 1"], [TestCase(b"", b"")])
+        path = tmp_path / "d.jsonl"
+        save_parallel([good], path)
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}:2: malformed record: "):
+            load(path)
 
     @pytest.mark.parametrize("load", [load_parallel, load_mono])
     def test_torn_record_is_refused_naming_the_file_and_line(self, tmp_path, load):
-        sample = ParallelSample("a:1:1", "c", 1, ["x = 1 ;"], ["set x to 1"])
+        # a record with tests, which both loaders read
+        sample = ParallelSample("a:1:1", "c", 1, ["x = 1 ;"], ["set x to 1"], [TestCase(b"", b"")])
         path = tmp_path / "d.jsonl"
         save_parallel([sample] * 3, path)
         path.write_bytes(path.read_bytes()[:-30])
@@ -309,3 +338,86 @@ class TestPrefixedSave:
         with pytest.raises(FileNotFoundError):
             save_parallel([], tmp_path / "d.jsonl", tmp_path / "nope.jsonl")
         assert list(tmp_path.iterdir()) == []
+
+
+def _reference(samples) -> bytes:
+    """The snapshot bytes as ``json.dumps`` writes each sample's record."""
+    return b"".join(
+        json.dumps(s.to_record(), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        for s in samples
+    )
+
+
+# pieces JSON writes as themselves or as a two-character escape, and pieces
+# that take the general path: other control bytes, DEL, UTF-8 and bytes that
+# are not UTF-8
+_plain = [b'"', b"\\", b"\t", b"\n", b"\r", b"a", b" ~/", b"\\n"]
+_other = [b"\b", b"\f", b"\x00", b"\x1b", b"\x1f", b"\x7f", "é€".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"]
+_plain_payloads = st.lists(st.sampled_from(_plain), max_size=4).map(b"".join)
+_payloads = st.one_of(
+    _plain_payloads,
+    # one byte off the plain path, which alone decides how the payload is written
+    st.builds(lambda a, b, c: a + b + c, _plain_payloads, st.sampled_from(_other), _plain_payloads),
+    st.lists(st.sampled_from(_plain + _other), max_size=6).map(b"".join),
+    st.binary(max_size=6),
+)
+_tests = st.lists(st.builds(TestCase, _payloads, _payloads), max_size=3)
+_parallel = st.lists(
+    st.builds(
+        lambda n, lines, tests, problem: ParallelSample(
+            id=f"p:{n}:1",
+            language="c",
+            worker=n,
+            code_lines=[code for code, _ in lines],
+            pseudo_lines=[pseudo for _, pseudo in lines],
+            tests=tests,
+            problem=problem,
+        ),
+        st.integers(0, 99),
+        st.lists(st.tuples(_texts, _texts), min_size=1, max_size=2),
+        _tests,
+        st.none() | _texts,
+    ),
+    max_size=3,
+)
+_mono = st.lists(
+    st.builds(
+        lambda n, lines, tests: MonoSample(id=f"p:{n}", code_lines=lines, tests=tests),
+        st.integers(0, 99),
+        st.lists(_texts.filter(bool), min_size=1, max_size=2),
+        _tests.filter(bool),
+    ),
+    max_size=3,
+)
+
+
+class TestRecordEncoding:
+    """Snapshots escape test payloads from their bytes; the files must be
+    byte-identical to ``json.dumps`` of each sample's record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_parallel, b=_parallel, mono=_mono)
+    def test_snapshot_bytes_are_those_of_json_dumps(self, a, b, mono):
+        with tempfile.TemporaryDirectory() as tmp:
+            d, extended, y = (Path(tmp) / name for name in ("d", "ab", "y"))
+            save_parallel(a, d)
+            assert d.read_bytes() == _reference(a)
+            save_parallel(b, extended, d)
+            assert extended.read_bytes() == _reference(a + b)
+            save_mono(mono, y)
+            assert y.read_bytes() == _reference(mono)
+            assert load_parallel(extended) == a + b and load_mono(y) == mono
+
+    @pytest.mark.parametrize("workload", ["judge-bound", "translate-bound", "resume"])
+    def test_benchmark_corpora_are_those_of_json_dumps(self, tmp_path, workload):
+        root = Path(__file__).resolve().parents[1]
+        sys.path.insert(0, str(root / "perfbench"))
+        try:
+            import gen
+        finally:
+            sys.path.remove(str(root / "perfbench"))
+        generated = gen.generate(workload, 4)
+        save_parallel(generated.parallel, tmp_path / "d")
+        save_mono(generated.mono, tmp_path / "y")
+        assert (tmp_path / "d").read_bytes() == _reference(generated.parallel)
+        assert (tmp_path / "y").read_bytes() == _reference(generated.mono)

@@ -742,7 +742,9 @@ class TestResumability:
             rewritten = any(phase == f"finetune-{direction}" for _, phase in BOUNDARIES[n + 1 :])
             assert after.get(name) == (files[name] if rewritten else damaged.get(name)), name
 
-    @pytest.mark.parametrize("field", ["initial_mono_count", "reports", "config"])
+    @pytest.mark.parametrize(
+        "field", ["initial_parallel_count", "initial_mono_count", "reports", "config"]
+    )
     def test_resume_refuses_a_state_file_without_a_field(self, tmp_path, field):
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "evaluate"))
@@ -808,14 +810,14 @@ class TestResumability:
         with pytest.raises(IbtError, match=re.escape(message)):
             self._runner(snap)
 
-    @pytest.mark.parametrize("version", [None, 0, 1, 2, 99, "3"])
+    @pytest.mark.parametrize("version", [None, 0, 1, 2, 3, 99, "4"])
     def test_resume_refuses_a_foreign_schema_version(self, tmp_path, version):
         snap = tmp_path / "s"
         self._run(snap, stop_after=(0, "evaluate"))
         state = json.loads((snap / "state.json").read_text())
         state["schema_version"] = version
         (snap / "state.json").write_text(json.dumps(state))
-        with pytest.raises(IbtError, match="snapshot file state.json is not schema 3"):
+        with pytest.raises(IbtError, match="snapshot file state.json is not schema 4"):
             self._runner(snap)
 
     def test_resume_refuses_a_snapshot_file_that_is_not_json(self, tmp_path):
@@ -838,6 +840,27 @@ class TestResumability:
     def test_resume_refuses_a_y_that_the_reports_do_not_leave(self, tmp_path, boundary, halved):
         """Y at the boundary holds the initial programs before any report,
         and then those the last report left untested."""
+        snap = tmp_path / "s"
+        self._run(snap, stop_after=boundary)
+        self._damage(snap / halved, "halve")
+        message = f"cannot resume: snapshot file {halved} holds "
+        with pytest.raises(IbtError, match=re.escape(message)):
+            self._runner(snap)
+
+    @pytest.mark.parametrize(
+        "boundary, halved",
+        [
+            ((0, "finetune-backward"), "corpus.D.0.jsonl"),
+            ((0, "evaluate"), "corpus.D.1.jsonl"),
+            ((1, "finetune-forward"), "corpus.D.1.jsonl"),
+            # only replayed: the resume loads corpus.D.1.jsonl as D
+            ((1, "finetune-forward"), "corpus.D.0.jsonl"),
+        ],
+    )
+    def test_resume_refuses_a_d_that_the_reports_do_not_leave(self, tmp_path, boundary, halved):
+        """D in iteration k's snapshot holds the initial samples and the
+        pairs augmented by the reports before k, whether it is loaded as D
+        or replayed."""
         snap = tmp_path / "s"
         self._run(snap, stop_after=boundary)
         self._damage(snap / halved, "halve")
