@@ -22,7 +22,7 @@ from conftest import requires_gcc
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench_run(workload: str, seed: int, trace: int = 0, smoke: bool = True) -> dict:
+def _bench_run(workload: str, seed: int = 3, trace: int = 0, smoke: bool = True) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py",
@@ -38,32 +38,28 @@ def _bench_run(workload: str, seed: int, trace: int = 0, smoke: bool = True) -> 
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _smoke_run(workload: str, trace: int = 0) -> dict:
-    return _bench_run(workload, 3, trace)
-
-
 @requires_gcc
 def test_translate_bound_smoke_run_is_correct():
-    assert _smoke_run("translate-bound")["correct"] is True
+    assert _bench_run("translate-bound")["correct"] is True
 
 
 @requires_gcc
 def test_judge_bound_smoke_run_is_correct():
-    result = _smoke_run("judge-bound")
+    result = _bench_run("judge-bound")
     assert result["correct"] is True
     assert result["failed"] == 0
 
 
 @requires_gcc
 def test_resume_smoke_run_is_correct():
-    result = _smoke_run("resume")
+    result = _bench_run("resume")
     assert result["correct"] is True
     assert result["failed"] == 0
 
 
 @requires_gcc
 def test_traced_resume_smoke_run_is_correct():
-    result = _smoke_run("resume", trace=1)
+    result = _bench_run("resume", trace=1)
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = result["metrics"]
