@@ -45,14 +45,6 @@ def _s2b(text: str) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
-def _list(value: list) -> list:
-    """A copy of a record's list field; a string, which ``list()`` would
-    split into characters, or any other non-list is refused."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, not {type(value).__name__}")
-    return list(value)
-
-
 @dataclass(frozen=True)
 class TestCase:
     __test__ = False  # keep pytest from collecting this as a test class
@@ -111,13 +103,18 @@ class ParallelSample:
 
     @classmethod
     def from_record(cls, rec: dict) -> ParallelSample:
+        code_lines, pseudo_lines, tests = rec["code_lines"], rec["pseudo_lines"], rec.get("tests", [])
+        # the lists json.loads built are kept as they are; a string would
+        # otherwise pass as one line per character
+        if not (type(code_lines) is type(pseudo_lines) is type(tests) is list):
+            raise TypeError("code_lines, pseudo_lines and tests must be lists")
         return cls(
             id=rec["id"],
             language=rec["language"],
             worker=int(rec["worker"]),
-            code_lines=_list(rec["code_lines"]),
-            pseudo_lines=_list(rec["pseudo_lines"]),
-            tests=[TestCase.from_record(t) for t in _list(rec.get("tests", []))],
+            code_lines=code_lines,
+            pseudo_lines=pseudo_lines,
+            tests=[TestCase.from_record(t) for t in tests],
             preprocessed=bool(rec.get("preprocessed", False)),
             origin=rec.get("origin", ORIGIN_SEED),
             problem=rec.get("problem"),
@@ -155,11 +152,14 @@ class MonoSample:
 
     @classmethod
     def from_record(cls, rec: dict) -> MonoSample:
+        code_lines, tests = rec["code_lines"], rec["tests"]
+        if not (type(code_lines) is type(tests) is list):
+            raise TypeError("code_lines and tests must be lists")
         return cls(
             id=rec["id"],
             language=rec.get("language", "c"),
-            code_lines=_list(rec["code_lines"]),
-            tests=[TestCase.from_record(t) for t in _list(rec["tests"])],
+            code_lines=code_lines,
+            tests=[TestCase.from_record(t) for t in tests],
             problem=rec.get("problem"),
         )
 
@@ -365,27 +365,33 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
 
 
 # the bytes that JSON writes as themselves, and the three whitespace bytes
-# that it writes as two-character escapes; every other byte below 0x20, DEL and
-# non-ASCII take the general path
+# that it writes as two-character escapes
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# the escapes JSON writes for the other ASCII bytes: \b and \f by letter,
+# every other byte below 0x20 and DEL as \u00XX
+_CONTROL = {byte: b"\\u%04x" % byte for byte in bytes(range(0x20)) + b"\x7f"}
+_CONTROL.update({ord("\b"): b"\\b", ord("\f"): b"\\f"})
 
 
 def _escape(data: bytes) -> bytes:
     """The inside of the JSON string that ``json.dumps`` writes for the
-    surrogateescape text of ``data``; plain ASCII is escaped straight from
-    the bytes."""
-    if data.isascii() and not data.translate(None, _PLAIN):
-        # the backslash first, so that no escape added here is escaped again
-        escaped = data.replace(b"\\", b"\\\\").replace(b'"', b'\\"')
-        return escaped.replace(b"\n", b"\\n").replace(b"\r", b"\\r").replace(b"\t", b"\\t")
-    return encode_basestring_ascii(_b2s(data))[1:-1].encode()
+    surrogateescape text of ``data``; ASCII is escaped straight from the
+    bytes, and only a payload with a byte above 0x7F is decoded to text."""
+    if not data.isascii():
+        return encode_basestring_ascii(_b2s(data))[1:-1].encode()
+    # the backslash first, so that no escape added here is escaped again
+    escaped = data.replace(b"\\", b"\\\\").replace(b'"', b'\\"')
+    escaped = escaped.replace(b"\n", b"\\n").replace(b"\r", b"\\r").replace(b"\t", b"\\t")
+    for byte in set(data.translate(None, _PLAIN)):
+        escaped = escaped.replace(bytes((byte,)), _CONTROL[byte])
+    return escaped
 
 
 def _record_line(sample: ParallelSample | MonoSample) -> bytes:
     """``sample.to_record()`` as one line of sorted, compact JSON. The test
-    payloads are spliced in at the ``tests`` key from their bytes, so they
-    are neither decoded to text nor scanned by ``json.dumps``, and each is
-    copied once more, into the line."""
+    payloads are escaped by ``_escape`` and spliced in at the ``tests`` key,
+    so ``json.dumps`` scans none of them, and each is copied once more, into
+    the line."""
     if not sample.tests:
         line = json.dumps(sample.to_record(), sort_keys=True, separators=(",", ":"))
         return line.encode() + b"\n"

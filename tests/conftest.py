@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import shutil
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,22 @@ def seed_parallel():
 @pytest.fixture
 def mono_corpus():
     return build_mono_corpus()
+
+
+@contextmanager
+def perfbench_gen():
+    """The benchmark's ``perfbench/gen.py``, loaded as ``perfbench_gen``. It
+    is in ``sys.modules`` (its dataclasses look their module up) only inside
+    the block."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+        yield gen
+    finally:
+        del sys.modules[spec.name]
 
 
 requires_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not installed")

@@ -3,13 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import perfbench_gen
 from ibtforge.corpus import (
     CorpusError,
     IngestStats,
@@ -348,15 +348,15 @@ def _reference(samples) -> bytes:
     )
 
 
-# pieces JSON writes as themselves or as a two-character escape, and pieces
-# that take the general path: other control bytes, DEL, UTF-8 and bytes that
-# are not UTF-8
+# pieces JSON writes as themselves or as a two-character escape, pieces it
+# writes as \b, \f or \u00XX, and pieces that are decoded to text before they
+# are escaped: UTF-8 and bytes that are not UTF-8
 _plain = [b'"', b"\\", b"\t", b"\n", b"\r", b"a", b" ~/", b"\\n"]
 _other = [b"\b", b"\f", b"\x00", b"\x1b", b"\x1f", b"\x7f", "é€".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"]
 _plain_payloads = st.lists(st.sampled_from(_plain), max_size=4).map(b"".join)
 _payloads = st.one_of(
     _plain_payloads,
-    # one byte off the plain path, which alone decides how the payload is written
+    # one byte off the plain pieces, which alone decides how the payload is written
     st.builds(lambda a, b, c: a + b + c, _plain_payloads, st.sampled_from(_other), _plain_payloads),
     st.lists(st.sampled_from(_plain + _other), max_size=6).map(b"".join),
     st.binary(max_size=6),
@@ -408,15 +408,16 @@ class TestRecordEncoding:
             assert y.read_bytes() == _reference(mono)
             assert load_parallel(extended) == a + b and load_mono(y) == mono
 
+    def test_every_ascii_byte_is_escaped_as_json_dumps_escapes_it(self, tmp_path):
+        payload = bytes(range(0x80))
+        samples = [MonoSample("p:m", ["x"], [TestCase(payload, payload[::-1] * 2)])]
+        save_mono(samples, tmp_path / "y")
+        assert (tmp_path / "y").read_bytes() == _reference(samples)
+
     @pytest.mark.parametrize("workload", ["judge-bound", "translate-bound", "resume"])
     def test_benchmark_corpora_are_those_of_json_dumps(self, tmp_path, workload):
-        root = Path(__file__).resolve().parents[1]
-        sys.path.insert(0, str(root / "perfbench"))
-        try:
-            import gen
-        finally:
-            sys.path.remove(str(root / "perfbench"))
-        generated = gen.generate(workload, 4)
+        with perfbench_gen() as gen:
+            generated = gen.generate(workload, 4)
         save_parallel(generated.parallel, tmp_path / "d")
         save_mono(generated.mono, tmp_path / "y")
         assert (tmp_path / "d").read_bytes() == _reference(generated.parallel)

@@ -8,14 +8,14 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import perfbench_gen
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ibtforge"
 SPANS = SRC.parent.parent / "perfbench" / "spans.py"
-GEN = SPANS.parent / "gen.py"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -137,18 +137,17 @@ def test_benchmark_hooks_install_and_restore():
     assert [name for name, value in before.items() if after[name] is not value] == []
 
 
-def test_every_workload_stops_at_a_phase_boundary_of_its_run(monkeypatch):
+def test_every_workload_stops_at_a_phase_boundary_of_its_run():
     """The benchmark names the boundary a workload stops its run at by phase
     and iteration, so a phase that ``ibt.PHASES`` drops or renames fails
     here rather than only in a benchmark run."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
-    spec.loader.exec_module(gen)
     phases = importlib.import_module("ibtforge.ibt").PHASES
-    stops = {
-        (name, smoke): gen.workload(name, smoke) for name in gen.WORKLOADS for smoke in (False, True)
-    }
+    with perfbench_gen() as gen:
+        stops = {
+            (name, smoke): gen.workload(name, smoke)
+            for name in gen.WORKLOADS
+            for smoke in (False, True)
+        }
     assert any(wl.stop_after for wl in stops.values())
     foreign = {
         key: wl.stop_after

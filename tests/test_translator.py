@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import importlib.util
 import json
 import re
 import sys
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import perfbench_gen
 from ibtforge.corpus import MonoSample, ParallelSample, TestCase
 import ibtforge.translator as translator_module
 from ibtforge.lexer import canonicalize
@@ -624,19 +624,12 @@ abstraction_lines = st.lists(st.sampled_from(ABSTRACTION_TOKENS), max_size=9).ma
 def _workload_pairs():
     """The preprocessed (code, pseudocode) pairs of the benchmark's seed
     corpora, seed 4, each workload."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen
-    try:
-        spec.loader.exec_module(gen)
+    with perfbench_gen() as gen:
         samples = [
             preprocess_sample(s)
             for name in ("judge-bound", "translate-bound", "resume")
             for s in gen.generate(name, 4).parallel
         ]
-    finally:
-        del sys.modules[spec.name]
     return dict.fromkeys(p for s in samples for p in zip(s.code_lines, s.pseudo_lines))
 
 
