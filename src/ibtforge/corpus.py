@@ -373,11 +373,18 @@ _CONTROL = {byte: b"\\u%04x" % byte for byte in bytes(range(0x20)) + b"\x7f"}
 _CONTROL.update({ord("\b"): b"\\b", ord("\f"): b"\\f"})
 
 
+# below this many bytes json's own escaper is the faster one: its fixed cost
+# is lower than that of the bytes path's six scans (0.24 against 0.58 us at
+# 8 bytes, 0.83 against 0.75 us at 256, on a 2-vCPU VM with Python 3.11)
+_BYTES_PATH_MIN = 256
+
+
 def _escape(data: bytes) -> bytes:
     """The inside of the JSON string that ``json.dumps`` writes for the
-    surrogateescape text of ``data``; ASCII is escaped straight from the
-    bytes, and only a payload with a byte above 0x7F is decoded to text."""
-    if not data.isascii():
+    surrogateescape text of ``data``. An ASCII payload of at least
+    ``_BYTES_PATH_MIN`` bytes is escaped straight from its bytes; any other
+    is decoded to text for json's escaper."""
+    if len(data) < _BYTES_PATH_MIN or not data.isascii():
         return encode_basestring_ascii(_b2s(data))[1:-1].encode()
     # the backslash first, so that no escape added here is escaped again
     escaped = data.replace(b"\\", b"\\\\").replace(b'"', b'\\"')

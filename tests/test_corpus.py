@@ -7,10 +7,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import perfbench_gen
 from ibtforge.corpus import (
+    _BYTES_PATH_MIN,
     CorpusError,
     IngestStats,
     LengthMismatch,
@@ -354,12 +355,19 @@ def _reference(samples) -> bytes:
 _plain = [b'"', b"\\", b"\t", b"\n", b"\r", b"a", b" ~/", b"\\n"]
 _other = [b"\b", b"\f", b"\x00", b"\x1b", b"\x1f", b"\x7f", "é€".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80"]
 _plain_payloads = st.lists(st.sampled_from(_plain), max_size=4).map(b"".join)
-_payloads = st.one_of(
-    _plain_payloads,
-    # one byte off the plain pieces, which alone decides how the payload is written
-    st.builds(lambda a, b, c: a + b + c, _plain_payloads, st.sampled_from(_other), _plain_payloads),
-    st.lists(st.sampled_from(_plain + _other), max_size=6).map(b"".join),
-    st.binary(max_size=6),
+# a padding that takes a payload to _BYTES_PATH_MIN, from where ASCII is
+# escaped from its bytes; below it json's escaper writes the payload
+_PAD = b"1 2\n" * (_BYTES_PATH_MIN // 4 + 1)
+_payloads = st.builds(
+    bytes.__add__,
+    st.sampled_from([b"", _PAD]),
+    st.one_of(
+        _plain_payloads,
+        # one byte off the plain pieces, which alone decides how the payload is written
+        st.builds(lambda a, b, c: a + b + c, _plain_payloads, st.sampled_from(_other), _plain_payloads),
+        st.lists(st.sampled_from(_plain + _other), max_size=6).map(b"".join),
+        st.binary(max_size=6),
+    ),
 )
 _tests = st.lists(st.builds(TestCase, _payloads, _payloads), max_size=3)
 _parallel = st.lists(
@@ -397,6 +405,8 @@ class TestRecordEncoding:
 
     @settings(max_examples=150, deadline=None)
     @given(a=_parallel, b=_parallel, mono=_mono)
+    # every ASCII byte, each escaped from the bytes by its own rule
+    @example(a=[], b=[], mono=[MonoSample("p:m", ["x"], [TestCase(_PAD + bytes(range(0x80)), b"")])])
     def test_snapshot_bytes_are_those_of_json_dumps(self, a, b, mono):
         with tempfile.TemporaryDirectory() as tmp:
             d, extended, y = (Path(tmp) / name for name in ("d", "ab", "y"))
@@ -407,12 +417,6 @@ class TestRecordEncoding:
             save_mono(mono, y)
             assert y.read_bytes() == _reference(mono)
             assert load_parallel(extended) == a + b and load_mono(y) == mono
-
-    def test_every_ascii_byte_is_escaped_as_json_dumps_escapes_it(self, tmp_path):
-        payload = bytes(range(0x80))
-        samples = [MonoSample("p:m", ["x"], [TestCase(payload, payload[::-1] * 2)])]
-        save_mono(samples, tmp_path / "y")
-        assert (tmp_path / "y").read_bytes() == _reference(samples)
 
     @pytest.mark.parametrize("workload", ["judge-bound", "translate-bound", "resume"])
     def test_benchmark_corpora_are_those_of_json_dumps(self, tmp_path, workload):
